@@ -8,6 +8,7 @@ from .errors import (
     HeisenbergDeferred,
     OracleCapExceeded,
     UnfactoredRemainder,
+    VerificationFailed,
     ZeroMultiplicityFunction,
 )
 from .field import (

@@ -1,7 +1,9 @@
 """Command-line front end: parse JSON inputs, dispatch, emit JSON.
 
-Exit codes: 0 success, 1 I/O or parse failure, 2 domain errors (reported
-as a structured {code, message, context} object).
+Exit codes: 0 success, 1 I/O or parse failure, 2 domain errors, 3 a
+failed internal verification (a substitution check that did not hold:
+a bug, never a property of the input).  Failures are reported on stdout
+as a structured {code, message, context} object.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import sys
 from fractions import Fraction
 
 from . import serialize as ser
-from .errors import DomainError
+from .errors import DomainError, VerificationFailed
 from .field import Matrix
 from .jordan import (
     InvariantSubspaceSpec,
@@ -148,20 +150,6 @@ def _aut_description(l: AlmostAbelianAlgebra) -> dict:
 
 
 def _cmd_lie(args) -> int:
-    if args.op == "classify":
-        t1 = ser.matrix_from_json(_load(args.m1))
-        t2 = ser.matrix_from_json(_load(args.m2))
-        result = classify_iso(t1, t2, _hints(args), _conv(args))
-        if result is None:
-            return _emit({"isomorphic": False})
-        lam, witness = result
-        return _emit(
-            {
-                "isomorphic": True,
-                "lambda": str(Fraction(lam)),
-                "witness": ser.matrix_to_json(witness),
-            }
-        )
     a = ser.aleph_from_json(_load(args.aleph))
     l = AlmostAbelianAlgebra(a, _conv(args))
     if args.op == "centre":
@@ -352,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("m1")
     q.add_argument("m2")
     _add_common(q, pretty=False)
-    q.set_defaults(func=_cmd_lie)
+    q.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("oracle", help="brute-force verification solver")
     oracle_sub = p.add_subparsers(dest="action", required=True)
@@ -379,26 +367,21 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _fail(code: str, message: str, context: dict, status: int) -> int:
+    _emit({"code": code, "message": message, "context": context})
+    return status
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except DomainError as exc:
-        print(
-            json.dumps(
-                {"code": exc.code, "message": str(exc), "context": exc.context()},
-                separators=(",", ":"),
-            )
-        )
-        return 2
+        return _fail(exc.code, str(exc), exc.context(), 2)
+    except VerificationFailed as exc:
+        return _fail(exc.code, str(exc), exc.context(), 3)
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
-        print(
-            json.dumps(
-                {"code": "input-error", "message": str(exc), "context": {}},
-                separators=(",", ":"),
-            )
-        )
-        return 1
+        return _fail("input-error", str(exc), {}, 1)
 
 
 if __name__ == "__main__":

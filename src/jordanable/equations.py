@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .errors import ZeroMultiplicityFunction
+from .errors import ZeroMultiplicityFunction, verify
 from .field import Matrix, _frac, invert, span_contains
 from .jordan import Block, JordanForm, canonical_form, similarity_transform
 from .multiplicity import MultiplicityFunction
@@ -243,7 +243,8 @@ def solve_lambda_comm(
         x = v * r
         if s is not None:
             x = s_inv * x * s
-        assert x * tm == (tm * x).scale(lam), "lambda-commutation check failed"
+        verify(x * tm == (tm * x).scale(lam), "lambda-commutation check failed",
+               check="lambda-commutation")
         basis.append(x)
     return SolutionSpace((tm.rows, tm.cols), tuple(basis))
 
@@ -263,11 +264,12 @@ def solve_inhom_comm(
         return None
     s_inv = invert(s)
     offset = s_inv * u_aleph(j.aleph) * s
-    assert offset * t - t * offset == t, "inhomogeneous check failed"
+    verify(offset * t - t * offset == t, "inhomogeneous check failed",
+           check="inhomogeneous-commutation")
     basis = []
     for c in commutant(j).basis:
         y = s_inv * c * s
-        assert y * t == t * y
+        verify(y * t == t * y, "commutant check failed", check="commutation")
         basis.append(y)
     return SolutionSpace((t.rows, t.cols), tuple(basis), offset)
 
@@ -288,6 +290,7 @@ def solve_transpose_pair(
     basis = []
     for x in solve_lambda_comm(j, -1).basis:
         z = w * x
-        assert (z * j.matrix + jt * z).is_zero, "transpose-pair check failed"
+        verify((z * j.matrix + jt * z).is_zero, "transpose-pair check failed",
+               check="transpose-pair")
         basis.append(z)
     return SolutionSpace((j.dim, j.dim), tuple(basis))

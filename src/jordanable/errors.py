@@ -2,7 +2,9 @@
 
 ``DomainError`` subclasses signal mathematically meaningful failures
 (exit code 2 in the CLI); plain ``ValueError``/``OSError`` style failures
-keep their usual meaning (exit code 1).
+keep their usual meaning (exit code 1).  ``VerificationFailed`` reports a
+postcondition that did not hold, which is a bug in this package and never
+a property of the input (exit code 3).
 """
 
 
@@ -61,3 +63,26 @@ class OracleCapExceeded(DomainError):
     """The brute-force solver refused a system above its unknown-count cap."""
 
     code = "oracle-cap-exceeded"
+
+
+class VerificationFailed(Exception):
+    """An internal postcondition (a substitution check) did not hold.
+
+    Raised by explicit checks rather than ``assert`` so that it survives
+    ``python -O``; ``context`` names the check and any JSON-ready data.
+    """
+
+    code = "verification-failed"
+
+    def __init__(self, message: str, **context):
+        self._context = context
+        super().__init__(message)
+
+    def context(self) -> dict:
+        return dict(self._context)
+
+
+def verify(ok: bool, message: str, **context) -> None:
+    """Raise ``VerificationFailed(message, **context)`` unless ``ok``."""
+    if not ok:
+        raise VerificationFailed(message, **context)

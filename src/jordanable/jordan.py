@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .errors import ZeroMultiplicityFunction
+from .errors import VerificationFailed, ZeroMultiplicityFunction, verify
 from .field import (
     Matrix,
     Polynomial,
@@ -152,11 +152,15 @@ def multiplicity_of(
         for n in range(1, e + 1):
             num = 2 * dims[n] - dims[n + 1] - dims[n - 1]
             if num % p.degree:
-                raise AssertionError("kernel filtration not a multiple of deg p")
+                raise VerificationFailed(
+                    "kernel filtration not a multiple of deg p",
+                    check="kernel-filtration", p=str(p), n=n,
+                )
             if num:
                 entries.append((p, n, num // p.degree))
     a = MultiplicityFunction(entries)
-    assert a.dim == t.rows, "block dimensions do not fill the space"
+    verify(a.dim == t.rows, "block dimensions do not fill the space",
+           check="block-dimensions", dim=t.rows, blocks_dim=a.dim)
     return a
 
 
@@ -178,9 +182,10 @@ def lift_root(p: IrreduciblePoly, e: int) -> Polynomial:
             break
         dpu = _poly_compose_mod(p.poly.derivative(), u, mod)
         g, s, _ = poly_xgcd(dpu, mod)
-        assert g.degree == 0, "p' not invertible modulo p^e"
+        verify(g.degree == 0, "p' not invertible modulo p^e", check="newton-lift")
         u = poly_divmod(u - pu * s, mod)[1]
-    assert _poly_compose_mod(p.poly, u, mod).is_zero
+    verify(_poly_compose_mod(p.poly, u, mod).is_zero,
+           "lifted root is not a root modulo p^e", check="newton-lift")
     return u
 
 
@@ -234,7 +239,9 @@ def _chain_tops(
             for op in basis_ops:
                 guard.append(op.apply(cand))
         if len(tops[n]) != want:
-            raise AssertionError("could not find enough chain tops")
+            raise VerificationFailed(
+                "could not find enough chain tops", check="chain-tops", height=n
+            )
     return tops
 
 
@@ -275,7 +282,7 @@ def similarity_transform(
     s_inv = Matrix.column_stack(ordered)
     s = invert(s_inv)
     j = canonical_form(a, conv)
-    assert s * t == j.matrix * s, "similarity postcondition failed"
+    verify(s * t == j.matrix * s, "similarity postcondition failed", check="similarity")
     return s, j
 
 

@@ -14,7 +14,9 @@ from typing import Optional, Sequence
 from .errors import (
     DecomposableUnsupported,
     HeisenbergDeferred,
+    VerificationFailed,
     ZeroMultiplicityFunction,
+    verify,
 )
 from .field import Matrix, _frac, invert, matrix_rank, row_reduce, span_contains
 from .jordan import (
@@ -158,8 +160,10 @@ def classify_iso(
     v = v_aleph(lam, j1.aleph, conv)
     perm = _block_permutation(lam, j1.aleph, j2.aleph)
     m = invert(s2) * perm * invert(v) * s1
-    assert (m * t1).scale(lam) == t2 * m, "classification witness check failed"
-    assert matrix_rank(m) == m.rows
+    verify((m * t1).scale(lam) == t2 * m, "classification witness check failed",
+           check="classify-witness")
+    verify(matrix_rank(m) == m.rows, "classification witness is singular",
+           check="classify-witness")
     return lam, m
 
 
@@ -181,7 +185,9 @@ def _block_permutation(
                 entries[(tgt.offset + t) * dim + offset + t] = Fraction(1)
             break
         else:
-            raise AssertionError("no block match despite equal orbits")
+            raise VerificationFailed(
+                "no block match despite equal orbits", check="block-permutation"
+            )
     return Matrix(dim, dim, entries)
 
 
@@ -236,7 +242,8 @@ class AutomorphismSpace:
         for i in range(n - 1):
             rows.append([_frac(gamma[i])] + list(delta.row(i)))
         phi = Matrix.from_rows(rows)
-        assert is_automorphism(self.algebra, phi)
+        verify(is_automorphism(self.algebra, phi),
+               "assembled map is not an automorphism", check="automorphism")
         return phi
 
 
@@ -269,33 +276,79 @@ def _unit_matrix(n: int, i: int, j: int) -> Matrix:
     return Matrix(n, n, entries)
 
 
+def _blocks(l: AlmostAbelianAlgebra, m: Matrix) -> tuple:
+    """Split a full coordinate matrix into (a, b, c, Delta) = (a b; c Delta).
+
+    a is the e0 -> e0 scalar, b the 1 x n row V -> e0, c the n x 1
+    column e0 -> V and Delta the n x n block V -> V.
+    """
+    size = l.dimension
+    if (m.rows, m.cols) != (size, size):
+        raise ValueError(f"expected a {size}x{size} coordinate matrix")
+    n = size - 1
+    rows = m.to_rows()
+    b = Matrix(1, n, rows[0][1:])
+    c = Matrix(n, 1, [r[0] for r in rows[1:]])
+    delta = Matrix(n, n, [x for r in rows[1:] for x in r[1:]])
+    return rows[0][0], b, c, delta
+
+
+def _wedge_free(b: Matrix, m: Matrix) -> bool:
+    """b_l M e_k == b_k M e_l for all k, l.
+
+    For b = 0 it holds trivially; otherwise, with a pivot b_p != 0, it
+    says M e_k = (b_k / b_p) M e_p for every k, i.e. M = (M e_p / b_p) b.
+    """
+    p = next((k for k, x in enumerate(b.entries) if x), None)
+    if p is None:
+        return True
+    bp = b.entries[p]
+    return all(
+        bp * m[i, k] == b.entries[k] * m[i, p]
+        for i in range(m.rows)
+        for k in range(m.cols)
+    )
+
+
 def is_derivation(l: AlmostAbelianAlgebra, d: Matrix) -> bool:
-    """D[x,y] = [Dx,y] + [x,Dy] on all basis pairs."""
-    n = l.dimension
-    units = [l.unit(i) for i in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            lhs = d.apply(bracket(l, units[i], units[j]))
-            rhs1 = bracket(l, d.apply(units[i]), units[j])
-            rhs2 = bracket(l, units[i], d.apply(units[j]))
-            if any(a != b + c for a, b, c in zip(lhs, rhs1, rhs2)):
-                return False
-    return True
+    """D = (a b; c Delta) is a derivation iff b J = 0, Delta J - J Delta = a J
+    and b_l J e_k = b_k J e_l for all k, l.
+
+    The first two are D[e0, v] = [D e0, v] + [e0, D v], split into its e0
+    and V parts; the last is D[u, w] = 0 = [Du, w] + [u, Dw] on V.
+    """
+    a, b, _c, delta = _blocks(l, d)
+    j = l.form.matrix
+    return (
+        (b * j).is_zero
+        and delta * j - j * delta == j.scale(a)
+        and _wedge_free(b, j)
+    )
 
 
 def is_automorphism(l: AlmostAbelianAlgebra, phi: Matrix) -> bool:
-    """phi invertible with phi[x,y] = [phi x, phi y] on all basis pairs."""
-    n = l.dimension
-    if matrix_rank(phi) != n:
-        return False
-    units = [l.unit(i) for i in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            lhs = phi.apply(bracket(l, units[i], units[j]))
-            rhs = bracket(l, phi.apply(units[i]), phi.apply(units[j]))
-            if lhs != rhs:
-                return False
-    return True
+    """phi = (nu b; c Delta) is an automorphism iff it is invertible,
+    b J = 0, Delta J = nu J Delta - (J c) b and b_l J Delta e_k =
+    b_k J Delta e_l for all k, l.
+
+    The identities are phi[e0, v] = [phi e0, phi v], split into its e0
+    and V parts, and phi[u, w] = 0 = [phi u, phi w] on V.
+    """
+    nu, b, c, delta = _blocks(l, phi)
+    j = l.form.matrix
+    jd = j * delta
+    return (
+        (b * j).is_zero
+        and delta * j == jd.scale(nu) - (j * c) * b
+        and _wedge_free(b, jd)
+        and matrix_rank(phi) == l.dimension
+    )
+
+
+def _verify_derivations(l: AlmostAbelianAlgebra, basis: Sequence[Matrix]) -> None:
+    for k, d in enumerate(basis):
+        verify(is_derivation(l, d), "derivation identity failed",
+               check="derivation", index=k)
 
 
 def derivation_space(l: AlmostAbelianAlgebra) -> SolutionSpace:
@@ -317,8 +370,7 @@ def derivation_space(l: AlmostAbelianAlgebra) -> SolutionSpace:
             n = l.dimension
             alpha = alpha + _unit_matrix(n, 0, 0)
             basis.append(alpha)
-        for d in basis:
-            assert is_derivation(l, d), "derivation identity failed"
+        _verify_derivations(l, basis)
         return SolutionSpace((l.dimension, l.dimension), tuple(basis))
     return SolutionSpace(
         (l.dimension, l.dimension), tuple(compose_decomposable(l, "der").full_basis())
@@ -365,8 +417,7 @@ class CompositeSpace:
             raise ValueError("full_basis is only linear for derivations")
         basis = [self._embed_l0(d) for d in self.l0_space.basis]
         basis.extend(self.phi01_basis + self.phi10_basis + self.phi11_basis)
-        for d in basis:
-            assert is_derivation(self.algebra, d), "derivation identity failed"
+        _verify_derivations(self.algebra, basis)
         return basis
 
     def _embed_l0(self, m0: Matrix) -> Matrix:
@@ -402,7 +453,8 @@ class CompositeSpace:
             for j in range(w):
                 entries[self.w_coords[i] * n + self.w_coords[j]] = phi11[i, j]
         full = full + Matrix(n, n, entries)
-        assert is_automorphism(self.algebra, full)
+        verify(is_automorphism(self.algebra, full),
+               "assembled map is not an automorphism", check="automorphism")
         return full
 
 
@@ -505,8 +557,9 @@ def casimir_basis(l: AlmostAbelianAlgebra) -> list[CasimirElement]:
         a = Matrix.zeros(j.rows, j.cols)
         for c, b in zip(coeffs, space.basis):
             a = a + b.scale(c)
-        assert a == a.transpose()
-        assert (a * j + jt * a).is_zero
+        verify(a == a.transpose(), "Casimir matrix is not symmetric", check="casimir")
+        verify((a * j + jt * a).is_zero, "Casimir identity A J + J^T A = 0 failed",
+               check="casimir")
         out.append(CasimirElement(a))
     return out
 

@@ -28,7 +28,10 @@ def frac_from_json(v) -> Fraction:
     if isinstance(v, int):
         return Fraction(v)
     if isinstance(v, str):
-        return Fraction(v.strip())
+        try:
+            return Fraction(v.strip())
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {v!r}") from None
     raise ValueError(f"not a rational: {v!r}")
 
 

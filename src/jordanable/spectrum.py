@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .errors import ConventionError, UnfactoredRemainder
+from .errors import ConventionError, UnfactoredRemainder, VerificationFailed, verify
 from .field import Matrix, Polynomial, poly_divmod, poly_gcd, solve_linear, span_contains, _frac
 
 
@@ -229,10 +229,14 @@ def minimal_polynomial(t: Matrix) -> Polynomial:
         vecs.append(v)
         powers.append(powers[-1] * t)
         if len(powers) > n + 1:
-            raise AssertionError("no Krylov dependence below dimension bound")
+            raise VerificationFailed(
+                "no Krylov dependence below dimension bound",
+                check="krylov-dependence", dim=n,
+            )
     k = len(vecs)
     sol = solve_linear(Matrix.column_stack([list(v) for v in vecs]), list(powers[k].vec()))
-    assert sol is not None
+    verify(sol is not None, "Krylov dependence has no solution",
+           check="krylov-dependence", dim=n)
     coeffs = [-c for c in sol[0]] + [Fraction(1)]
     return Polynomial(coeffs)
 
@@ -283,7 +287,8 @@ def _find_small_factor(f: Polynomial) -> Polynomial | None:
         divisor_lists = []
         for t in pts:
             v = f(t)
-            assert v != 0 and v.denominator == 1
+            verify(v != 0 and v.denominator == 1,
+                   "sample value is zero or not an integer", check="kronecker-sample")
             ds = _divisors(int(v))
             divisor_lists.append([Fraction(s * d) for d in ds for s in (1, -1)])
         for combo in iproduct(*divisor_lists):
@@ -355,10 +360,10 @@ def factor_with_hints(
             if piece.degree >= 1:
                 add(IrreduciblePoly.check(piece), mult)
 
-    check = Polynomial.one()
+    product = Polynomial.one()
     for f, e in factors.items():
-        check = check * f.poly**e
-    assert check == p, "internal factorization mismatch"
+        product = product * f.poly**e
+    verify(product == p, "internal factorization mismatch", check="factor-product")
     return dict(sorted(factors.items(), key=lambda kv: kv[0].sort_key()))
 
 
@@ -392,7 +397,10 @@ def parse_poly(text: str) -> Polynomial:
             if m.group("var") is None:
                 raise ValueError(f"dangling sign {term!r} in {text!r}")
             coef_text += "1"
-        coef = Fraction(coef_text)
+        try:
+            coef = Fraction(coef_text)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {term!r} of {text!r}") from None
         if m.group("var"):
             exp = int(m.group("exp")) if m.group("exp") else 1
         else:

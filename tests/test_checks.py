@@ -1,0 +1,33 @@
+"""Postconditions are explicit checks that survive ``python -O``."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import jordanable
+from jordanable.errors import VerificationFailed, verify
+
+PACKAGE = Path(jordanable.__file__).parent
+
+
+def test_no_assert_statements_in_package():
+    offenders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        offenders.extend(
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Assert)
+        )
+    assert offenders == []
+
+
+def test_verify_passes_and_raises():
+    verify(True, "unused")
+    with pytest.raises(VerificationFailed) as info:
+        verify(False, "identity failed", check="demo", index=2)
+    exc = info.value
+    assert exc.code == "verification-failed"
+    assert str(exc) == "identity failed"
+    assert exc.context() == {"check": "demo", "index": 2}

@@ -134,6 +134,15 @@ class TestMatrixVerbs:
         m2 = write(tmp_path, "m2.json", [[1, 0], [0, 2]])
         assert run(capsys, ["classify", m1, m2]) == (0, '{"isomorphic":false}')
 
+    def test_classify_verbs_agree(self, tmp_path, capsys):
+        m1 = write(tmp_path, "m1.json", [[0, 1, 0], [1, 0, 0], [0, 0, 3]])
+        m2 = write(tmp_path, "m2.json", [[-2, 0, 0], [1, 2, 0], [0, 4, -6]])
+        top = run(capsys, ["classify", m1, m2])
+        lie = run(capsys, ["lie", "classify", m1, m2])
+        assert top[0] == 0
+        assert json.loads(top[1])["isomorphic"] is True
+        assert top == lie
+
 
 class TestSolveVerbs:
     def test_xt_ltx(self, tmp_path, capsys):
@@ -241,3 +250,31 @@ class TestErrorPaths:
         m = write(tmp_path, "m.json", [[1, 2], [3]])
         code, _out = run(capsys, ["extract-mult", m])
         assert code == 1
+
+    def test_zero_denominator_exit_1(self, tmp_path, capsys):
+        m = write(tmp_path, "m.json", [[1, "1/0"], [0, 1]])
+        code, out = run(capsys, ["jordanize", m])
+        assert code == 1
+        assert json.loads(out) == {
+            "code": "input-error",
+            "message": "zero denominator in '1/0'",
+            "context": {},
+        }
+
+    def test_zero_denominator_in_polynomial_exit_1(self, tmp_path, capsys):
+        m = write(tmp_path, "m.json", [[0, 1], [1, 0]])
+        h = write(tmp_path, "h.json", ["X^2 + 1/0"])
+        code, out = run(capsys, ["extract-mult", m, "--hints", h])
+        assert code == 1
+        assert json.loads(out)["code"] == "input-error"
+
+    def test_failed_verification_exit_3(self, tmp_path, capsys, monkeypatch):
+        import jordanable.liealg
+
+        monkeypatch.setattr(jordanable.liealg, "is_derivation", lambda l, d: False)
+        a = write(tmp_path, "a.json", BIANCHI)
+        code, out = run(capsys, ["lie", "der", "--aleph", a])
+        assert code == 3
+        data = json.loads(out)
+        assert data["code"] == "verification-failed"
+        assert data["context"] == {"check": "derivation", "index": 0}

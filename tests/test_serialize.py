@@ -25,6 +25,10 @@ class TestFractions:
         with pytest.raises(ValueError):
             ser.frac_from_json(1.5)
 
+    def test_zero_denominator_is_a_value_error(self):
+        with pytest.raises(ValueError):
+            ser.frac_from_json("1/0")
+
 
 class TestMatrices:
     def test_roundtrip(self):
