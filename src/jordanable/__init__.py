@@ -12,7 +12,6 @@ from .errors import (
     ZeroMultiplicityFunction,
 )
 from .field import (
-    ExtElement,
     Matrix,
     Polynomial,
     invert,

@@ -15,7 +15,6 @@ from fractions import Fraction
 
 from . import serialize as ser
 from .errors import DomainError, VerificationFailed
-from .field import Matrix
 from .jordan import (
     InvariantSubspaceSpec,
     canonical_form,
@@ -216,7 +215,7 @@ def _equation_from_json(data) -> EquationSpec:
         return EquationSpec.symmetric_transpose_pair(j)
     if kind == "derivation":
         a = ser.aleph_from_json(data["aleph"])
-        conv = Convention(int(data.get("epsilon", 1)))
+        conv = Convention(ser.int_from_json(data.get("epsilon", 1)))
         return EquationSpec.derivation(AlmostAbelianAlgebra(a, conv))
     raise ValueError(f"unknown equation kind {kind!r}")
 
@@ -249,11 +248,8 @@ def _cmd_invsub(args) -> int:
         for item in data.get("mu", []):
             key = (
                 ser.irreducible_from_json(item["p"]),
-                int(item["n"]),
-                int(item["beta"]),
-                int(item["k"]),
-                int(item["alpha"]),
-                int(item["shift"]),
+                *(ser.int_from_json(item[f])
+                  for f in ("n", "beta", "k", "alpha", "shift")),
             )
             mu[key] = ser.frac_from_json(item["value"])
         j = canonical_form(a, _conv(args))

@@ -144,14 +144,6 @@ def jordan_intertwiners(
     return SolutionSpace(shape, tuple(basis))
 
 
-def _embed(big_rows: int, big_cols: int, small: Matrix, r0: int, c0: int) -> Matrix:
-    entries = [Fraction(0)] * (big_rows * big_cols)
-    for i in range(small.rows):
-        for j in range(small.cols):
-            entries[(r0 + i) * big_cols + c0 + j] = small[i, j]
-    return Matrix(big_rows, big_cols, entries)
-
-
 def _paired_intertwiners(
     blocks: list[Block], conv: Convention, target_poly
 ) -> list[Matrix]:
@@ -169,8 +161,9 @@ def _paired_intertwiners(
             if pi != bj.p:
                 continue
             local = jordan_intertwiners(pi, bj.n, pi, bi.n, conv)
-            for b in local.basis:
-                out.append(_embed(dim, dim, b, bi.offset, bj.offset))
+            rows = range(bi.offset, bi.offset + bi.size)
+            cols = range(bj.offset, bj.offset + bj.size)
+            out.extend(b.embed(dim, dim, rows, cols) for b in local.basis)
     return out
 
 

@@ -1,7 +1,6 @@
 """Exact field arithmetic and exact dense linear algebra.
 
-The ground field is Q, realized by :class:`fractions.Fraction`.  Simple
-algebraic extensions Q[X]/(p) are provided by :class:`ExtElement`.  All
+The ground field is Q, realized by :class:`fractions.Fraction`.  All
 types are immutable values and all functions are pure; there is no
 floating point anywhere in this package.
 """
@@ -10,8 +9,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
-
-NEG_INF = float("-inf")  # degree of the zero polynomial
 
 
 def _frac(x) -> Fraction:
@@ -23,7 +20,7 @@ def _frac(x) -> Fraction:
 class Polynomial:
     """Dense univariate polynomial over Q, coefficient i of X**i.
 
-    The zero polynomial is the empty coefficient vector with degree -inf.
+    The zero polynomial is the empty coefficient vector with degree -1.
     """
 
     __slots__ = ("coeffs",)
@@ -55,8 +52,8 @@ class Polynomial:
     # -- basic queries -----------------------------------------------
 
     @property
-    def degree(self):
-        return len(self.coeffs) - 1 if self.coeffs else NEG_INF
+    def degree(self) -> int:
+        return len(self.coeffs) - 1
 
     @property
     def is_zero(self) -> bool:
@@ -129,14 +126,14 @@ class Polynomial:
         return Polynomial(k * c for k, c in enumerate(self.coeffs) if k > 0)
 
     def __call__(self, x):
-        """Evaluate by Horner; works for Fractions, ExtElements and Matrices."""
+        """Evaluate by Horner at a rational or a square matrix."""
         if isinstance(x, Matrix):
             acc = Matrix.zeros(x.rows, x.cols)
             ident = Matrix.identity(x.rows)
             for c in reversed(self.coeffs):
                 acc = acc * x + ident.scale(c)
             return acc
-        acc = x - x if not isinstance(x, (int, Fraction)) else Fraction(0)
+        acc = Fraction(0)
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
@@ -216,76 +213,6 @@ def poly_xgcd(a: Polynomial, b: Polynomial):
         return r0, s0, t0
     c = 1 / r0.leading
     return r0.scale(c), s0.scale(c), t0.scale(c)
-
-
-class ExtElement:
-    """Element of the simple extension Q[X]/(p), p monic irreducible."""
-
-    __slots__ = ("residue", "modulus")
-
-    def __init__(self, residue: Polynomial, modulus: Polynomial):
-        if not modulus.is_monic or modulus.degree < 1:
-            raise ValueError("modulus must be monic of degree >= 1")
-        if residue.degree >= modulus.degree:
-            residue = poly_divmod(residue, modulus)[1]
-        self.residue = residue
-        self.modulus = modulus
-
-    def _check(self, other: "ExtElement"):
-        if self.modulus != other.modulus:
-            raise ValueError("extension field mismatch")
-
-    def __add__(self, other: "ExtElement") -> "ExtElement":
-        self._check(other)
-        return ExtElement(self.residue + other.residue, self.modulus)
-
-    def __sub__(self, other: "ExtElement") -> "ExtElement":
-        self._check(other)
-        return ExtElement(self.residue - other.residue, self.modulus)
-
-    def __neg__(self) -> "ExtElement":
-        return ExtElement(-self.residue, self.modulus)
-
-    def __mul__(self, other):
-        if isinstance(other, ExtElement):
-            self._check(other)
-            return ExtElement(self.residue * other.residue, self.modulus)
-        return ExtElement(self.residue.scale(other), self.modulus)
-
-    def __rmul__(self, other):
-        return ExtElement(self.residue.scale(other), self.modulus)
-
-    def __truediv__(self, other: "ExtElement") -> "ExtElement":
-        return self * ext_inverse(other)
-
-    @property
-    def is_zero(self) -> bool:
-        return self.residue.is_zero
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ExtElement)
-            and self.modulus == other.modulus
-            and self.residue == other.residue
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.residue, self.modulus))
-
-    def __repr__(self) -> str:
-        return f"ExtElement({self.residue} mod {self.modulus})"
-
-
-def ext_inverse(e: ExtElement) -> ExtElement:
-    """Multiplicative inverse in Q[X]/(p) via extended gcd."""
-    if e.is_zero:
-        raise ZeroDivisionError("zero element of extension field")
-    g, s, _ = poly_xgcd(e.residue, e.modulus)
-    if g.degree != 0:
-        raise ValueError(
-            f"residue shares factor {g} with modulus: modulus is not irreducible"
-        )
-    return ExtElement(s, e.modulus)
 
 
 class Matrix:
@@ -444,6 +371,18 @@ class Matrix:
                         out[(i * other.rows + k) * c + j * other.cols + l] = a * other[k, l]
         return Matrix(r, c, out)
 
+    def embed(
+        self, rows: int, cols: int, row_coords: Sequence[int], col_coords: Sequence[int]
+    ) -> "Matrix":
+        """The rows x cols matrix with self[i, j] at (row_coords[i],
+        col_coords[j]) and zeros elsewhere."""
+        out = [Fraction(0)] * (rows * cols)
+        for i, gi in enumerate(row_coords):
+            row = self.row(i)
+            for j, gj in enumerate(col_coords):
+                out[gi * cols + gj] = row[j]
+        return Matrix(rows, cols, out)
+
     def trace(self) -> Fraction:
         return sum((self[i, i] for i in range(min(self.rows, self.cols))), Fraction(0))
 
@@ -549,28 +488,6 @@ def invert(m: Matrix) -> Matrix:
     if rank != m.rows:
         raise ValueError("matrix is singular")
     return t
-
-
-def determinant(m: Matrix) -> Fraction:
-    if m.rows != m.cols:
-        raise ValueError("determinant of non-square matrix")
-    rows = [[_frac(x) for x in row] for row in m.to_rows()]
-    n = m.rows
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if rows[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            det = -det
-        det *= rows[col][col]
-        inv = 1 / rows[col][col]
-        for r in range(col + 1, n):
-            factor = rows[r][col] * inv
-            if factor:
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[col])]
-    return det
 
 
 def span_contains(basis: list[tuple], v: Sequence) -> bool:

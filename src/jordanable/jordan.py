@@ -18,8 +18,8 @@ from .errors import VerificationFailed, ZeroMultiplicityFunction, verify
 from .field import (
     Matrix,
     Polynomial,
+    independent,
     invert,
-    matrix_rank,
     poly_divmod,
     poly_xgcd,
     row_reduce,
@@ -122,34 +122,34 @@ def canonical_form(a: MultiplicityFunction, conv: Convention = EPS1) -> JordanFo
     return JordanForm(matrix, a, conv, index)
 
 
-def _kernel_dims(t: Matrix, p: Polynomial, upto: int) -> list[int]:
-    """dim ker p(t)^n for n = 0..upto."""
-    a = p(t)
-    dims = [0]
-    power = Matrix.identity(t.rows)
-    for _ in range(upto):
-        power = power * a
-        dims.append(t.cols - matrix_rank(power))
-    return dims
+# factor p -> (p(t), kernel bases of p(t)^k for k = 0..e+1), where p^e
+# divides the minimal polynomial exactly
+_Filtrations = dict[IrreduciblePoly, tuple[Matrix, list[list[tuple]]]]
 
 
-def multiplicity_of(
-    t: Matrix, hints: list[IrreduciblePoly] | None = None
-) -> MultiplicityFunction:
-    """Extract the multiplicity function of a square matrix.
-
-    For each irreducible factor p of the minimal polynomial with exponent
-    e, the count of length-n blocks is read off the kernel filtration of
-    p(t): deg(p) * aleph(p,n) = 2 dim ker p(t)^n - dim ker p(t)^(n+1)
-    - dim ker p(t)^(n-1).
-    """
+def _filtrations(t: Matrix, hints: list[IrreduciblePoly] | None) -> _Filtrations:
+    """The kernel filtration of every factor, one row reduction per power."""
     if t.rows != t.cols:
         raise ValueError("multiplicity function of non-square matrix")
-    factors = factor_with_hints(minimal_polynomial(t), hints)
+    out = {}
+    for p, e in factor_with_hints(minimal_polynomial(t), hints).items():
+        a = p.poly(t)
+        kers: list[list[tuple]] = [[]]
+        power = Matrix.identity(t.rows)
+        for _ in range(e + 1):
+            power = power * a
+            kers.append(row_reduce(power)[2])
+        out[p] = (a, kers)
+    return out
+
+
+def _aleph_from(t: Matrix, filtrations: _Filtrations) -> MultiplicityFunction:
+    """deg(p) * aleph(p,n) = 2 dim ker p(t)^n - dim ker p(t)^(n+1)
+    - dim ker p(t)^(n-1)."""
     entries = []
-    for p, e in factors.items():
-        dims = _kernel_dims(t, p.poly, e + 1)
-        for n in range(1, e + 1):
+    for p, (_a, kers) in filtrations.items():
+        dims = [len(k) for k in kers]
+        for n in range(1, len(kers) - 1):
             num = 2 * dims[n] - dims[n + 1] - dims[n - 1]
             if num % p.degree:
                 raise VerificationFailed(
@@ -162,6 +162,18 @@ def multiplicity_of(
     verify(a.dim == t.rows, "block dimensions do not fill the space",
            check="block-dimensions", dim=t.rows, blocks_dim=a.dim)
     return a
+
+
+def multiplicity_of(
+    t: Matrix, hints: list[IrreduciblePoly] | None = None
+) -> MultiplicityFunction:
+    """Extract the multiplicity function of a square matrix.
+
+    For each irreducible factor p of the minimal polynomial with exponent
+    e, the count of length-n blocks is read off the kernel filtration of
+    p(t) for n = 1..e.
+    """
+    return _aleph_from(t, _filtrations(t, hints))
 
 
 def _poly_compose_mod(f: Polynomial, g: Polynomial, mod: Polynomial) -> Polynomial:
@@ -203,33 +215,27 @@ def _ext_basis_ops(
 
 
 def _chain_tops(
-    t: Matrix,
-    p: IrreduciblePoly,
-    e: int,
+    a: Matrix,
+    kers: list[list[tuple]],
     counts: dict[int, int],
     basis_ops: list[Matrix],
 ) -> dict[int, list[tuple]]:
-    """Choose chain-top vectors of each height for the factor p.
+    """Choose chain-top vectors of each height for one factor p, given
+    a = p(t) and kers[k] = ker a^k for k = 0..e+1.
 
     At height n a valid top must avoid the span of ker p(t)^(n-1), of
     p(t) ker p(t)^(n+1), and of the extension-field spans of tops already
     chosen at this height; that span is closed under the lifted-root
     action, so avoiding it guarantees independence over the extension.
     """
-    a = p.poly(t)
-    kers = []
-    power = Matrix.identity(t.rows)
-    for _n in range(e + 1):
-        kers.append(row_reduce(power)[2])
-        power = power * a
     tops: dict[int, list[tuple]] = {}
-    for n in range(e, 0, -1):
+    for n in range(len(kers) - 2, 0, -1):
         want = counts.get(n, 0)
         tops[n] = []
         if want == 0:
             continue
         guard: list[tuple] = list(kers[n - 1])
-        guard.extend(a.apply(v) for v in kers[min(n + 1, e)])
+        guard.extend(a.apply(v) for v in kers[n + 1])
         for cand in kers[n]:
             if len(tops[n]) == want:
                 break
@@ -251,22 +257,19 @@ def similarity_transform(
     conv: Convention = EPS1,
 ) -> tuple[Matrix, JordanForm]:
     """An invertible S with S t S^-1 = J(aleph_t), plus the canonical form."""
-    a = multiplicity_of(t, hints)
+    filtrations = _filtrations(t, hints)
+    a = _aleph_from(t, filtrations)
     if a.is_zero:
         # the zero-dimensional matrix; S is empty
         j = JordanForm(t, a, conv, ())
         return Matrix.identity(0), j
-    factors = {}
-    for (p, n), m in a.items():
-        factors.setdefault(p, {})[n] = m
     columns: dict[tuple[IrreduciblePoly, int], list[list]] = {}
-    for p, counts in factors.items():
-        e = max(counts)
-        u = lift_root(p, e)
-        xhat = u(t)
+    for p, (pt, kers) in filtrations.items():
+        counts = {n: m for (q, n), m in a.items() if q == p}
+        xhat = lift_root(p, len(kers) - 2)(t)
         nil = t - xhat
         basis_ops = _ext_basis_ops(p, xhat, conv)
-        tops = _chain_tops(t, p, e, counts, basis_ops)
+        tops = _chain_tops(pt, kers, counts, basis_ops)
         for n in sorted(counts):
             for v in tops.get(n, []):
                 chain_cols = []
@@ -363,7 +366,7 @@ def invariant_subspace_from(
             for eta in etas:
                 for k in range(p.degree):
                     vectors.append(_ext_action(j, p, k).apply(eta))
-    if matrix_rank(Matrix.column_stack([list(v) for v in vectors])) != len(vectors):
+    if not independent(vectors):
         raise ValueError("generated vectors are linearly dependent")
     return vectors
 
@@ -375,9 +378,9 @@ def check_invariant_and_restrict(
     vectors = [list(v) for v in w]
     if not vectors:
         return MultiplicityFunction(())
-    mat = Matrix.column_stack(vectors)
-    if matrix_rank(mat) != len(vectors):
+    if not independent(vectors):
         raise ValueError("dependent spanning set")
+    mat = Matrix.column_stack(vectors)
     coeffs = []
     for v in vectors:
         sol = solve_linear(mat, t.apply(v))

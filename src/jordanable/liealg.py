@@ -18,7 +18,15 @@ from .errors import (
     ZeroMultiplicityFunction,
     verify,
 )
-from .field import Matrix, _frac, invert, matrix_rank, row_reduce, span_contains
+from .field import (
+    Matrix,
+    _frac,
+    independent,
+    invert,
+    matrix_rank,
+    row_reduce,
+    span_contains,
+)
 from .jordan import (
     BlockIndex,
     block_layout,
@@ -253,27 +261,8 @@ def automorphism_space(l: AlmostAbelianAlgebra) -> AutomorphismSpace:
     return AutomorphismSpace(l, dilation_symmetries(l.aleph), l.form.dim)
 
 
-def _gamma_unit(l: AlmostAbelianAlgebra, i: int) -> Matrix:
-    n = l.dimension
-    entries = [Fraction(0)] * (n * n)
-    entries[(1 + i) * n] = Fraction(1)
-    return Matrix(n, n, entries)
-
-
-def _embed_v_map(l: AlmostAbelianAlgebra, delta: Matrix) -> Matrix:
-    """Extend a V -> V map by zero on e0 to a full coordinate matrix."""
-    n = l.dimension
-    entries = [Fraction(0)] * (n * n)
-    for i in range(delta.rows):
-        for j in range(delta.cols):
-            entries[(1 + i) * n + 1 + j] = delta[i, j]
-    return Matrix(n, n, entries)
-
-
 def _unit_matrix(n: int, i: int, j: int) -> Matrix:
-    entries = [Fraction(0)] * (n * n)
-    entries[i * n + j] = Fraction(1)
-    return Matrix(n, n, entries)
+    return Matrix.identity(1).embed(n, n, [i], [j])
 
 
 def _blocks(l: AlmostAbelianAlgebra, m: Matrix) -> tuple:
@@ -363,15 +352,14 @@ def derivation_space(l: AlmostAbelianAlgebra) -> SolutionSpace:
         raise HeisenbergDeferred()
     l0_aleph, w_dim = decompose(l)
     if w_dim == 0:
-        basis = [_gamma_unit(l, i) for i in range(l.form.dim)]
-        basis.extend(_embed_v_map(l, c) for c in commutant(l.form).basis)
+        n = l.dimension
+        v = range(1, n)  # the V coordinates: V -> V maps extend by zero on e0
+        basis = [_unit_matrix(n, i, 0) for i in v]  # gamma: e0 -> V
+        basis.extend(c.embed(n, n, v, v) for c in commutant(l.form).basis)
         if is_nilpotent(l):
-            alpha = _embed_v_map(l, u_aleph(l.aleph))
-            n = l.dimension
-            alpha = alpha + _unit_matrix(n, 0, 0)
-            basis.append(alpha)
+            basis.append(u_aleph(l.aleph).embed(n, n, v, v) + _unit_matrix(n, 0, 0))
         _verify_derivations(l, basis)
-        return SolutionSpace((l.dimension, l.dimension), tuple(basis))
+        return SolutionSpace((n, n), tuple(basis))
     return SolutionSpace(
         (l.dimension, l.dimension), tuple(compose_decomposable(l, "der").full_basis())
     )
@@ -422,21 +410,16 @@ class CompositeSpace:
 
     def _embed_l0(self, m0: Matrix) -> Matrix:
         n = self.algebra.dimension
-        entries = [Fraction(0)] * (n * n)
-        for i, gi in enumerate(self.l0_coords):
-            for j, gj in enumerate(self.l0_coords):
-                entries[gi * n + gj] = m0[i, j]
-        return Matrix(n, n, entries)
+        return m0.embed(n, n, self.l0_coords, self.l0_coords)
 
     def assemble_automorphism(
         self, nu, delta: Matrix, gamma: Sequence, phi10, phi11: Matrix
     ) -> Matrix:
         """Full automorphism from L0 data plus the corner maps, validated.
 
-        phi10 is a coefficient vector over phi10_basis; phi01 is forced
-        to zero whenever Z(L0) = 0 and is likewise given by coefficients
-        otherwise (appended to phi10 for simplicity is avoided: pass a
-        pair when needed).
+        phi10 is a coefficient vector over phi10_basis and phi11 the
+        W -> W block.  No phi01 is taken: the assembled map always has
+        phi01 = 0.
         """
         if self.kind != "aut":
             raise ValueError("assemble_automorphism needs kind 'aut'")
@@ -448,11 +431,7 @@ class CompositeSpace:
         if matrix_rank(phi11) != w:
             raise ValueError("phi11 must be invertible")
         n = self.algebra.dimension
-        entries = [Fraction(0)] * (n * n)
-        for i in range(w):
-            for j in range(w):
-                entries[self.w_coords[i] * n + self.w_coords[j]] = phi11[i, j]
-        full = full + Matrix(n, n, entries)
+        full = full + phi11.embed(n, n, self.w_coords, self.w_coords)
         verify(is_automorphism(self.algebra, full),
                "assembled map is not an automorphism", check="automorphism")
         return full
@@ -564,17 +543,11 @@ def casimir_basis(l: AlmostAbelianAlgebra) -> list[CasimirElement]:
     return out
 
 
-def _independent_or_raise(vectors: list[list]) -> Matrix:
-    m = Matrix.column_stack(vectors)
-    if matrix_rank(m) != len(vectors):
-        raise ValueError("dependent spanning set")
-    return m
-
-
 def check_subalgebra(l: AlmostAbelianAlgebra, vectors: Sequence[Sequence]) -> bool:
     """True when span(vectors) is closed under the bracket."""
     vecs = [[_frac(c) for c in v] for v in vectors]
-    _independent_or_raise(vecs)
+    if not independent(vecs):
+        raise ValueError("dependent spanning set")
     span = [tuple(v) for v in vecs]
     for i in range(len(vecs)):
         for j in range(i + 1, len(vecs)):
@@ -586,7 +559,8 @@ def check_subalgebra(l: AlmostAbelianAlgebra, vectors: Sequence[Sequence]) -> bo
 def check_ideal(l: AlmostAbelianAlgebra, vectors: Sequence[Sequence]) -> bool:
     """True when [L, span(vectors)] lies inside span(vectors)."""
     vecs = [[_frac(c) for c in v] for v in vectors]
-    _independent_or_raise(vecs)
+    if not independent(vecs):
+        raise ValueError("dependent spanning set")
     span = [tuple(v) for v in vecs]
     for i in range(l.dimension):
         unit = l.unit(i)

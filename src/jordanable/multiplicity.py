@@ -78,10 +78,6 @@ def aleph(*entries: tuple) -> MultiplicityFunction:
     return MultiplicityFunction(entries)
 
 
-def dim_and_supp(a: MultiplicityFunction) -> tuple[int, list[IrreduciblePoly]]:
-    return a.dim, a.supp
-
-
 def star_aleph(lam, a: MultiplicityFunction) -> MultiplicityFunction:
     """Pushforward along the dilation action: entries re-keyed by lam*p."""
     lam = _frac(lam)

@@ -22,6 +22,13 @@ def frac_to_json(x: Fraction):
     return f"{x.numerator}/{x.denominator}"
 
 
+def int_from_json(v) -> int:
+    """A JSON integer; booleans, floats and anything else are a ValueError."""
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise ValueError(f"not an integer: {v!r}")
+    return v
+
+
 def frac_from_json(v) -> Fraction:
     if isinstance(v, bool):
         raise ValueError(f"not a rational: {v!r}")
@@ -97,7 +104,8 @@ def aleph_from_json(data) -> MultiplicityFunction:
         if not isinstance(item, dict) or not {"p", "n", "mult"} <= set(item):
             raise ValueError(f"bad multiplicity entry: {item!r}")
         entries.append(
-            (irreducible_from_json(item["p"]), int(item["n"]), int(item["mult"]))
+            (irreducible_from_json(item["p"]), int_from_json(item["n"]),
+             int_from_json(item["mult"]))
         )
     return MultiplicityFunction(entries)
 

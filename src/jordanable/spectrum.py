@@ -96,7 +96,7 @@ class IrreduciblePoly:
 
     @property
     def degree(self) -> int:
-        return int(self.poly.degree)
+        return self.poly.degree
 
     def sort_key(self):
         # higher-degree factors come first, matching the reference layouts
@@ -201,9 +201,7 @@ def star_poly(lam, p: Polynomial) -> Polynomial:
     lam = _frac(lam)
     if lam == 0:
         raise ValueError("dilation by zero")
-    if p.is_zero:
-        return p
-    d = int(p.degree)
+    d = p.degree
     return Polynomial(lam ** (d - k) * p.coeff(k) for k in range(d + 1))
 
 

@@ -23,6 +23,30 @@ def test_no_assert_statements_in_package():
     assert offenders == []
 
 
+def test_no_unused_imports_in_package():
+    """Every name a module imports is used in it; __init__ only re-exports."""
+    offenders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    imported[name] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        offenders.extend(
+            f"{path.name}:{line} {name}"
+            for name, line in imported.items()
+            if name not in used
+        )
+    assert offenders == []
+
+
 def test_verify_passes_and_raises():
     verify(True, "unused")
     with pytest.raises(VerificationFailed) as info:

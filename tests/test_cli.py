@@ -187,6 +187,17 @@ class TestOracleVerbs:
         assert code == 0
         assert json.loads(out)["dim"] == 2
 
+    @pytest.mark.parametrize("epsilon", [0.5, True, "1"])
+    def test_non_integer_epsilon_exit_1(self, tmp_path, capsys, epsilon):
+        spec = write(
+            tmp_path,
+            "spec.json",
+            {"kind": "derivation", "aleph": BIANCHI, "epsilon": epsilon},
+        )
+        code, out = run(capsys, ["oracle", "solve", spec])
+        assert code == 1
+        assert json.loads(out)["code"] == "input-error"
+
     def test_random(self, capsys):
         code, out = run(capsys, ["oracle", "random", "--seed", "3"])
         assert code == 0
@@ -209,29 +220,30 @@ class TestInvsubVerbs:
         w = write(tmp_path, "w.json", [[0, 1]])
         assert run(capsys, ["invsub", "check", m, w]) == (0, '{"invariant":false}')
 
+    @staticmethod
+    def make_spec(**mu_overrides):
+        mu = {"p": [-1, 1], "n": 1, "beta": 0, "k": 1, "alpha": 0, "shift": 0,
+              "value": 1}
+        mu.update(mu_overrides)
+        return {"beth": [{"p": [-1, 1], "n": 1, "mult": 1}], "mu": [mu]}
+
     def test_make(self, tmp_path, capsys):
         a = write(tmp_path, "a.json", BIANCHI)
-        spec = write(
-            tmp_path,
-            "spec.json",
-            {
-                "beth": [{"p": [-1, 1], "n": 1, "mult": 1}],
-                "mu": [
-                    {
-                        "p": [-1, 1],
-                        "n": 1,
-                        "beta": 0,
-                        "k": 1,
-                        "alpha": 0,
-                        "shift": 0,
-                        "value": 1,
-                    }
-                ],
-            },
-        )
+        spec = write(tmp_path, "spec.json", self.make_spec())
         code, out = run(capsys, ["invsub", "make", spec, "--aleph", a])
         assert code == 0
         assert json.loads(out)["basis"] == [[1, 0]]
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("n", 1.5), ("beta", 0.0), ("k", True), ("alpha", "0"), ("shift", 0.5)],
+    )
+    def test_make_non_integer_key_exit_1(self, tmp_path, capsys, key, value):
+        a = write(tmp_path, "a.json", BIANCHI)
+        spec = write(tmp_path, "spec.json", self.make_spec(**{key: value}))
+        code, out = run(capsys, ["invsub", "make", spec, "--aleph", a])
+        assert code == 1
+        assert json.loads(out)["code"] == "input-error"
 
 
 class TestErrorPaths:
@@ -260,6 +272,19 @@ class TestErrorPaths:
             "message": "zero denominator in '1/0'",
             "context": {},
         }
+
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            ({"p": [1, 1], "n": 1.7, "mult": 1}, "not an integer: 1.7"),
+            ({"p": [1, 1], "n": 1, "mult": True}, "not an integer: True"),
+        ],
+    )
+    def test_non_integer_aleph_exit_1(self, tmp_path, capsys, entry, message):
+        a = write(tmp_path, "a.json", [entry])
+        code, out = run(capsys, ["lie", "centre", "--aleph", a])
+        assert code == 1
+        assert json.loads(out) == {"code": "input-error", "message": message, "context": {}}
 
     def test_zero_denominator_in_polynomial_exit_1(self, tmp_path, capsys):
         m = write(tmp_path, "m.json", [[0, 1], [1, 0]])

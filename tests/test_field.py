@@ -1,4 +1,4 @@
-"""Exact-arithmetic core: polynomials, extension elements, matrices."""
+"""Exact-arithmetic core: polynomials and matrices."""
 
 from fractions import Fraction
 
@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from jordanable import (
-    ExtElement,
     Matrix,
     Polynomial,
     invert,
@@ -17,6 +16,7 @@ from jordanable import (
     row_reduce,
     solve_linear,
 )
+from jordanable.field import independent
 from .conftest import mat
 
 rationals = st.fractions(
@@ -35,6 +35,10 @@ class TestPolynomial:
         assert P(0, 0).is_zero
         assert P(1, 2, 3).degree == 2
         assert P(3).degree == 0
+
+    def test_zero_degree_is_int_minus_one(self):
+        d = Polynomial.zero().degree
+        assert d == -1 and type(d) is int
 
     def test_arithmetic(self):
         a, b = P(1, 1), P(-1, 1)
@@ -82,23 +86,6 @@ class TestPolynomial:
         assert P(5, 3, 0, 2).derivative() == P(3, 0, 6)
 
 
-class TestExtElement:
-    def test_cubic_field_inverse(self):
-        from jordanable.field import ext_inverse
-
-        mod = P(-2, 0, 0, 1)  # X^3 - 2, so x^-1 = x^2/2
-        x = ExtElement(P(0, 1), mod)
-        inv = ext_inverse(x)
-        assert (x * inv).residue == P(1)
-        assert inv.residue == P(0, 0, Fraction(1, 2))
-
-    def test_arithmetic(self):
-        mod = P(1, 0, 1)  # X^2 + 1
-        i = ExtElement(P(0, 1), mod)
-        assert (i * i).residue == P(-1)
-        assert (i + i).residue == P(0, 2)
-
-
 class TestMatrix:
     def test_basic_ops(self):
         a = mat([[1, 2], [3, 4]])
@@ -112,6 +99,12 @@ class TestMatrix:
         assert b == mat([[1, 0, 0], [0, 2, 0], [0, 0, 3]])
         c = Matrix.column_stack([[1, 2], [3, 4]])
         assert c == mat([[1, 3], [2, 4]])
+
+    def test_embed(self):
+        small = mat([[1, 2], [3, 4]])
+        assert small.embed(3, 4, [2, 0], [1, 3]) == mat(
+            [[0, 3, 0, 4], [0, 0, 0, 0], [0, 1, 0, 2]]
+        )
 
     def test_vec_unvec_roundtrip(self):
         a = mat([[1, 2, 3], [4, 5, 6]])
@@ -158,3 +151,8 @@ class TestMatrix:
     def test_rank(self):
         assert matrix_rank(Matrix.identity(4)) == 4
         assert matrix_rank(Matrix.zeros(3, 3)) == 0
+
+    def test_independent(self):
+        assert independent([])
+        assert independent([[1, 0, 1], [0, 1, 1]])
+        assert not independent([[1, 2], [2, 4]])

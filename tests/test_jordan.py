@@ -6,6 +6,7 @@ import pytest
 
 from jordanable import (
     EPS0,
+    Convention,
     InvariantSubspaceSpec,
     Matrix,
     ZeroMultiplicityFunction,
@@ -18,6 +19,7 @@ from jordanable import (
     nilpotent_shift,
     similarity_transform,
 )
+from jordanable import serialize as ser
 from jordanable.multiplicity import MultiplicityFunction, star_aleph
 from jordanable.oracle import Profile, random_instance, random_unimodular
 from .conftest import irr, mat
@@ -148,6 +150,78 @@ class TestSimilarityTransform:
         s, j2 = similarity_transform(t, conv=EPS0)
         assert j2.matrix == j.matrix
         assert s * t == j2.matrix * s
+
+
+# (T, convention, aleph, J, S) in the JSON wire format; S pins the choice
+# of chain tops, not only the similarity identity
+SIMILARITY_GOLDEN = {
+    "derogatory": (
+        [[1, -1, -1], [1, 3, 1], [0, 0, 2]],
+        1,
+        [{"p": [-2, 1], "n": 1, "mult": 1}, {"p": [-2, 1], "n": 2, "mult": 1}],
+        [[2, 0, 0], [0, 2, 1], [0, 0, 2]],
+        [[0, 0, 1], [0, 1, 0], [1, 1, 1]],
+    ),
+    "cubic": (
+        [[-2, -3, 1, -1], [2, 3, 1, 3], [1, 2, 1, 3], [-1, -1, -2, -3]],
+        1,
+        [{"p": [-2, 0, 0, 1], "n": 1, "mult": 1}, {"p": [1, 1], "n": 1, "mult": 1}],
+        [[0, 0, 2, 0], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, -1]],
+        [[0, 1, -1, 0], [0, 0, 1, 1], ["1/2", "1/2", 0, 0], [1, 1, 0, 1]],
+    ),
+    "rotation-pair-eps0": (
+        [[1, 1, 2, 4], [-1, -2, -1, -4], [-2, -3, -1, -4], [0, 1, 1, 2]],
+        0,
+        [{"p": [1, 0, 1], "n": 1, "mult": 1}, {"p": [4, 0, 1], "n": 1, "mult": 1}],
+        [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -2], [0, 0, 2, 0]],
+        [[0, 1, -1, 0], [-1, -1, 0, 0], [0, 0, 1, 1], [1, 1, 0, 1]],
+    ),
+}
+
+
+class TestSimilarityGolden:
+    @pytest.mark.parametrize("name", sorted(SIMILARITY_GOLDEN))
+    def test_pinned_outputs(self, name):
+        t, eps, a, jm, sm = SIMILARITY_GOLDEN[name]
+        s, j = similarity_transform(ser.matrix_from_json(t), conv=Convention(eps))
+        assert ser.aleph_to_json(j.aleph) == a
+        assert ser.matrix_to_json(j.matrix) == jm
+        assert ser.matrix_to_json(s) == sm
+
+    def test_one_filtration_pass(self, monkeypatch):
+        import jordanable.field as field_mod
+        import jordanable.jordan as jordan_mod
+
+        reduced = []
+        original_row_reduce = field_mod.row_reduce
+
+        def recording_row_reduce(m):
+            reduced.append(m)
+            return original_row_reduce(m)
+
+        calls = {"minimal_polynomial": 0, "multiplicity_of": 0}
+
+        def counting(name):
+            original = getattr(jordan_mod, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return original(*args)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(jordan_mod, name, counting(name))
+        for mod in (field_mod, jordan_mod):
+            monkeypatch.setattr(mod, "row_reduce", recording_row_reduce)
+        # aleph = (X)^2 + (X - 2)^1: the powers p(T)^k, k = 1..e+1, are
+        # nonzero and pairwise distinct for both factors
+        t = mat([[3, 3, -1], [-1, -1, 1], [-2, -2, 0]])
+        similarity_transform(t)
+        assert calls == {"minimal_polynomial": 1, "multiplicity_of": 0}
+        powers = [t**k for k in (1, 2, 3)]
+        powers += [(t - Matrix.identity(3).scale(2)) ** k for k in (1, 2)]
+        assert [sum(m == p for m in reduced) for p in powers] == [1] * 5
 
 
 class TestInvariantSubspaces:

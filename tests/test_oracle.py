@@ -3,7 +3,7 @@
 import pytest
 
 from jordanable import Matrix, OracleCapExceeded, nilpotent_shift
-from jordanable.field import determinant
+from jordanable.field import invert
 from jordanable.oracle import (
     EquationSpec,
     Profile,
@@ -67,7 +67,9 @@ class TestRandomInstance:
     def test_unimodular_conjugator(self):
         for seed in range(6):
             _a, j, s, t = random_instance(seed, Profile(max_dim=6))
-            assert determinant(s) in (1, -1)
+            # an integer matrix has det = +-1 exactly when its inverse is integral
+            assert all(x.denominator == 1 for x in s.entries)
+            assert all(x.denominator == 1 for x in invert(s).entries)
             assert s * t == j.matrix * s
 
     def test_respects_dimension_bound(self):

@@ -29,6 +29,13 @@ class TestFractions:
         with pytest.raises(ValueError):
             ser.frac_from_json("1/0")
 
+    def test_int_from_json_accepts_only_integers(self):
+        assert ser.int_from_json(3) == 3
+        assert ser.int_from_json(-2) == -2
+        for bad in (True, False, 1.7, 1.0, "1", None, [1]):
+            with pytest.raises(ValueError):
+                ser.int_from_json(bad)
+
 
 class TestMatrices:
     def test_roundtrip(self):
@@ -77,6 +84,15 @@ class TestAleph:
             ser.aleph_from_json({"p": "X"})
         with pytest.raises(ValueError):
             ser.aleph_from_json([{"p": "X"}])
+
+    @pytest.mark.parametrize(
+        "key, value", [("n", 1.7), ("n", True), ("mult", 1.0), ("mult", True), ("n", "2")]
+    )
+    def test_non_integer_counts_rejected(self, key, value):
+        entry = {"p": [1, 1], "n": 1, "mult": 1}
+        entry[key] = value
+        with pytest.raises(ValueError):
+            ser.aleph_from_json([entry])
 
 
 class TestSpacesAndVectors:
