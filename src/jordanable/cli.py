@@ -16,7 +16,6 @@ from fractions import Fraction
 from . import serialize as ser
 from .errors import DomainError, VerificationFailed
 from .jordan import (
-    InvariantSubspaceSpec,
     canonical_form,
     check_invariant_and_restrict,
     invariant_subspace_from,
@@ -197,6 +196,7 @@ def _cmd_lie(args) -> int:
 
 
 def _equation_from_json(data) -> EquationSpec:
+    data = ser.object_from_json(data, "an equation spec")
     kind = data.get("kind")
     if kind == "intertwine":
         return EquationSpec.intertwine(
@@ -242,23 +242,12 @@ def _cmd_oracle(args) -> int:
 def _cmd_invsub(args) -> int:
     if args.action == "make":
         a = ser.aleph_from_json(_load(args.aleph))
-        data = _load(args.spec)
-        beth = ser.aleph_from_json(data["beth"])
-        mu = {}
-        for item in data.get("mu", []):
-            key = (
-                ser.irreducible_from_json(item["p"]),
-                *(ser.int_from_json(item[f])
-                  for f in ("n", "beta", "k", "alpha", "shift")),
-            )
-            mu[key] = ser.frac_from_json(item["value"])
+        spec = ser.invariant_spec_from_json(_load(args.spec))
         j = canonical_form(a, _conv(args))
-        basis = invariant_subspace_from(j, InvariantSubspaceSpec(beth, mu))
+        basis = invariant_subspace_from(j, spec)
         return _emit({"basis": [ser.vector_to_json(v) for v in basis]})
     t = ser.matrix_from_json(_load(args.matrix))
-    data = _load(args.subspace)
-    vectors = data["basis"] if isinstance(data, dict) else data
-    w = [ser.vector_from_json(v) for v in vectors]
+    w = ser.subspace_from_json(_load(args.subspace))
     result = check_invariant_and_restrict(t, w, _hints(args))
     if result is None:
         return _emit({"invariant": False})

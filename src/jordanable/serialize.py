@@ -11,6 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .field import Matrix, Polynomial, _frac
+from .jordan import InvariantSubspaceSpec
 from .multiplicity import MultiplicityFunction
 from .spectrum import IrreduciblePoly, parse_poly
 
@@ -42,14 +43,26 @@ def frac_from_json(v) -> Fraction:
     raise ValueError(f"not a rational: {v!r}")
 
 
+def object_from_json(data, what: str) -> dict:
+    """A JSON object; any other JSON value is a ValueError naming `what`."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} must be a JSON object, got {data!r}")
+    return data
+
+
+def list_from_json(data, what: str) -> list:
+    """A JSON array; any other JSON value is a ValueError naming `what`."""
+    if not isinstance(data, list):
+        raise ValueError(f"{what} must be a JSON array, got {data!r}")
+    return data
+
+
 def vector_to_json(v) -> list:
     return [frac_to_json(x) for x in v]
 
 
 def vector_from_json(data) -> tuple:
-    if not isinstance(data, list):
-        raise ValueError("vector must be a JSON array")
-    return tuple(frac_from_json(x) for x in data)
+    return tuple(frac_from_json(x) for x in list_from_json(data, "a vector"))
 
 
 def matrix_to_json(m: Matrix) -> list:
@@ -85,9 +98,8 @@ def irreducible_from_json(data) -> IrreduciblePoly:
 
 
 def hints_from_json(data) -> list[IrreduciblePoly]:
-    if not isinstance(data, list):
-        raise ValueError("hints must be a JSON list of polynomials")
-    return [IrreduciblePoly.hinted(poly_from_json(p)) for p in data]
+    return [IrreduciblePoly.hinted(poly_from_json(p))
+            for p in list_from_json(data, "hints")]
 
 
 def aleph_to_json(a: MultiplicityFunction) -> list:
@@ -97,10 +109,8 @@ def aleph_to_json(a: MultiplicityFunction) -> list:
 
 
 def aleph_from_json(data) -> MultiplicityFunction:
-    if not isinstance(data, list):
-        raise ValueError("a multiplicity function is a JSON list of entries")
     entries = []
-    for item in data:
+    for item in list_from_json(data, "a multiplicity function"):
         if not isinstance(item, dict) or not {"p", "n", "mult"} <= set(item):
             raise ValueError(f"bad multiplicity entry: {item!r}")
         entries.append(
@@ -108,6 +118,28 @@ def aleph_from_json(data) -> MultiplicityFunction:
              int_from_json(item["mult"]))
         )
     return MultiplicityFunction(entries)
+
+
+def invariant_spec_from_json(data) -> InvariantSubspaceSpec:
+    """An `invsub make` spec: {"beth": aleph, "mu": [{"p", "n", "beta", "k",
+    "alpha", "shift", "value"}, ...]}, where "mu" may be left out."""
+    data = object_from_json(data, "an invariant-subspace spec")
+    beth = aleph_from_json(data["beth"])
+    mu = {}
+    for item in list_from_json(data.get("mu", []), "mu"):
+        item = object_from_json(item, "a mu entry")
+        key = (
+            irreducible_from_json(item["p"]),
+            *(int_from_json(item[f]) for f in ("n", "beta", "k", "alpha", "shift")),
+        )
+        mu[key] = frac_from_json(item["value"])
+    return InvariantSubspaceSpec(beth, mu)
+
+
+def subspace_from_json(data) -> list[tuple]:
+    """Spanning vectors, given as a JSON array or as {"basis": array}."""
+    vectors = data["basis"] if isinstance(data, dict) else data
+    return [vector_from_json(v) for v in list_from_json(vectors, "a subspace basis")]
 
 
 def solution_space_to_json(space) -> dict:

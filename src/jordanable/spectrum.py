@@ -2,7 +2,11 @@
 
 Irreducibility over Q is certified autonomously only up to degree 3
 (absence of rational roots); higher degrees must be asserted through
-hints.  Two companion conventions are supported: the general form
+hints.  Rational roots are found by p-adic (Hensel) lifting of the roots
+modulo a small prime, at a cost polynomial in the coefficients'
+bit-size; only Kronecker's search for quadratic and cubic factors of a
+residual of degree >= 4 (`_find_small_factor`) still enumerates
+divisors.  Two companion conventions are supported: the general form
 (epsilon=1) and the rotation-scaling 2x2 form (epsilon=0) for quadratics
 that split as (X-a)^2 + b^2 with rational a, b.
 """
@@ -35,28 +39,75 @@ def _divisors(n: int) -> list[int]:
     return sorted(out)
 
 
+def _denominator_lcm(p: Polynomial) -> int:
+    """The least positive integer d such that d * p has integer coefficients."""
+    return math.lcm(*(c.denominator for c in p.coeffs))
+
+
+def _primes():
+    """2, 3, 5, 7, ... by trial division against the primes found so far."""
+    found: list[int] = []
+    n = 2
+    while True:
+        if all(n % q for q in found if q * q <= n):
+            found.append(n)
+            yield n
+        n += 1
+
+
+def _eval(coeffs: list[int], x: int, m: int | None = None) -> int:
+    """Horner evaluation of an integer polynomial, reduced mod m when given."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+        if m is not None:
+            acc %= m
+    return acc
+
+
 def rational_roots(p: Polynomial) -> list[Fraction]:
-    """All rational roots of p, by the rational-root theorem."""
+    """All rational roots of p, sorted, by p-adic (Hensel) lifting.
+
+    The squarefree part of p, cleared of denominators and content, is
+    a_d X^d + ... + a_0; its rational roots are y / a_d for the integer
+    roots y of the monic F(Y) = a_d^(d-1) f(Y / a_d).  Each root of F
+    modulo the smallest prime q at which all of F's roots are simple is
+    Newton-lifted to a modulus past twice the Cauchy bound 1 + max|F_k|,
+    and a lifted symmetric residue is kept if it is an exact root.  Every
+    integer root reduces to a simple root mod q, so none is missed.  The
+    cost is polynomial in the bit-size of the coefficients.
+    """
     if p.is_zero:
         raise ValueError("zero polynomial")
+    if p.degree < 1:
+        return []
+    g = poly_gcd(p, p.derivative())
+    f = p if g.degree == 0 else poly_divmod(p, g)[0]
+    lcm = _denominator_lcm(f)
+    ints = [int(c * lcm) for c in f.coeffs]
+    content = math.gcd(*ints)
+    a = [c // content for c in ints]
+    d, lead = len(a) - 1, a[-1]
+    big_f = [a[k] * lead ** (d - 1 - k) for k in range(d)] + [1]
+    df = [k * c for k, c in enumerate(big_f) if k > 0]
+    # F is squarefree, so only the finitely many primes dividing its
+    # discriminant can give a multiple root mod q
+    for q in _primes():
+        residues = [r for r in range(q) if _eval(big_f, r, q) == 0]
+        if all(_eval(df, r, q) for r in residues):
+            break
+    bound = 1 + max(abs(c) for c in big_f)
     roots = []
-    q = p
-    while q.coeff(0) == 0 and q.degree >= 1:
-        if Fraction(0) not in roots:
-            roots.append(Fraction(0))
-        q = Polynomial(q.coeffs[1:])
-    if q.degree < 1:
-        return sorted(roots)
-    denom_lcm = 1
-    for c in q.coeffs:
-        denom_lcm = denom_lcm * c.denominator // math.gcd(denom_lcm, c.denominator)
-    ints = [int(c * denom_lcm) for c in q.coeffs]
-    for num in _divisors(ints[0]):
-        for den in _divisors(ints[-1]):
-            for sign in (1, -1):
-                r = Fraction(sign * num, den)
-                if r not in roots and q(r) == 0:
-                    roots.append(r)
+    for y in residues:
+        m = q
+        while m <= 2 * bound:
+            # Newton step; F'(y) is a unit mod q, so y becomes a root mod m^2
+            m *= m
+            y = (y - _eval(big_f, y, m) * pow(_eval(df, y, m), -1, m)) % m
+        if y > m // 2:
+            y -= m
+        if _eval(big_f, y) == 0:
+            roots.append(Fraction(y, lead))
     return sorted(roots)
 
 
@@ -305,9 +356,7 @@ def _split_residual(part: Polynomial) -> list[Polynomial]:
     factors of degree <= 3 where possible, via an integer rescaling."""
     out = []
     while part.degree >= 4:
-        denom_lcm = 1
-        for c in part.coeffs:
-            denom_lcm = denom_lcm * c.denominator // math.gcd(denom_lcm, c.denominator)
+        denom_lcm = _denominator_lcm(part)
         scaled = star_poly(denom_lcm, part)
         g_scaled = _find_small_factor(scaled)
         if g_scaled is None:

@@ -1,6 +1,7 @@
 """Command-line interface: golden outputs and exit codes."""
 
 import json
+import time
 
 import pytest
 
@@ -128,6 +129,15 @@ class TestMatrixVerbs:
         code, out = run(capsys, ["extract-mult", m, "--hints", h])
         assert code == 0
         assert json.loads(out)["aleph"] == [{"p": [1, 0, 0, 0, 1], "n": 1, "mult": 1}]
+
+    def test_extract_wide_constant_under_a_second(self, tmp_path, capsys):
+        c = 10**30 + 1
+        m = write(tmp_path, "m.json", [[0, -c], [1, 0]])
+        t0 = time.perf_counter()
+        code, out = run(capsys, ["extract-mult", m])
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 0
+        assert json.loads(out)["aleph"] == [{"p": [c, 0, 1], "n": 1, "mult": 1}]
 
     def test_classify_non_isomorphic(self, tmp_path, capsys):
         m1 = write(tmp_path, "m1.json", [[1, 0], [0, -1]])
@@ -292,6 +302,30 @@ class TestErrorPaths:
         code, out = run(capsys, ["extract-mult", m, "--hints", h])
         assert code == 1
         assert json.loads(out)["code"] == "input-error"
+
+    @pytest.mark.parametrize(
+        "argv, data, message",
+        [
+            (["oracle", "solve", "{f}"], [1, 2],
+             "an equation spec must be a JSON object, got [1, 2]"),
+            (["invsub", "make", "{f}", "--aleph", "{a}"], [1, 2],
+             "an invariant-subspace spec must be a JSON object, got [1, 2]"),
+            (["invsub", "make", "{f}", "--aleph", "{a}"],
+             {"beth": BIANCHI[:1], "mu": [1]}, "a mu entry must be a JSON object, got 1"),
+            (["invsub", "check", "{m}", "{f}"], {"basis": 5},
+             "a subspace basis must be a JSON array, got 5"),
+        ],
+        ids=["oracle-spec-list", "make-spec-list", "make-mu-int", "check-basis-int"],
+    )
+    def test_wrong_shape_exit_1(self, tmp_path, capsys, argv, data, message):
+        paths = {
+            "f": write(tmp_path, "f.json", data),
+            "a": write(tmp_path, "a.json", BIANCHI),
+            "m": write(tmp_path, "m.json", [[1, 0], [0, -1]]),
+        }
+        code, out = run(capsys, [arg.format(**paths) for arg in argv])
+        assert code == 1
+        assert json.loads(out) == {"code": "input-error", "message": message, "context": {}}
 
     def test_failed_verification_exit_3(self, tmp_path, capsys, monkeypatch):
         import jordanable.liealg

@@ -1,5 +1,7 @@
 """Irreducibles, factorization, companions, the dilation action."""
 
+import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -28,6 +30,37 @@ from .conftest import irr, mat
 nonzero_rationals = st.fractions(max_denominator=4).filter(lambda x: x != 0)
 
 
+def enumerated_roots(p: Polynomial) -> list[Fraction]:
+    """Reference: the rational-root theorem, by trial division of the
+    constant and leading coefficients (exponential in their bit-size)."""
+
+    def divisors(n):
+        small = [d for d in range(1, math.isqrt(abs(n)) + 1) if n % d == 0]
+        return small + [abs(n) // d for d in small]
+
+    roots = {Fraction(0)} if p.coeff(0) == 0 else set()
+    while p.coeff(0) == 0:
+        p = Polynomial(p.coeffs[1:])
+    lcm = math.lcm(*(c.denominator for c in p.coeffs))
+    ints = [int(c * lcm) for c in p.coeffs]
+    content = math.gcd(*ints)
+    ints = [c // content for c in ints]
+    for num in divisors(ints[0]):
+        for den in divisors(ints[-1]):
+            roots |= {r for r in (Fraction(num, den), Fraction(-num, den)) if p(r) == 0}
+    return sorted(roots)
+
+
+linear_factors = st.builds(
+    lambda a, b: Polynomial((b, a)),
+    st.integers(-6, 6).filter(bool),
+    st.integers(-12, 12),
+)
+rootless_factors = st.lists(st.integers(-9, 9), min_size=2, max_size=3).map(
+    lambda cs: Polynomial(cs + [1])
+).filter(lambda q: not enumerated_roots(q))
+
+
 class TestRationalRoots:
     def test_simple(self):
         assert rational_roots(parse_poly("X^2 - 1")) == [-1, 1]
@@ -36,6 +69,36 @@ class TestRationalRoots:
 
     def test_zero_root(self):
         assert rational_roots(parse_poly("X^3 - X^2")) == [0, 1]
+
+    def test_needs_a_prime_past_seven(self):
+        # 0, 105 and -210 collide mod 2, 3, 5 and 7
+        p = parse_poly("X") * parse_poly("X - 105") * parse_poly("X + 210")
+        assert rational_roots(p) == [-210, 0, 105]
+
+    def test_constant_and_zero(self):
+        assert rational_roots(Polynomial([Fraction(-3, 4)])) == []
+        with pytest.raises(ValueError):
+            rational_roots(Polynomial.zero())
+
+    def test_wide_coefficients(self):
+        m = 2**61 - 1
+        p = Polynomial((-m, 1)) * Polynomial((3, 7))
+        t0 = time.perf_counter()
+        assert rational_roots(p) == [Fraction(-3, 7), m]
+        assert time.perf_counter() - t0 < 1.0
+
+    @given(
+        st.lists(linear_factors, max_size=3),
+        st.lists(rootless_factors, max_size=2),
+        st.integers(1, 3),
+        st.fractions(-9, 9, max_denominator=4).filter(bool),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_enumeration(self, linears, rootless, repeat, scale):
+        p = Polynomial.constant(scale)
+        for f in linears[:1] * repeat + linears + rootless:
+            p = p * f
+        assert rational_roots(p) == enumerated_roots(p)
 
 
 class TestIrreduciblePoly:
@@ -47,6 +110,12 @@ class TestIrreduciblePoly:
             IrreduciblePoly.hinted(parse_poly("X^4 + 1")).certification
             is Certification.HINTED
         )
+
+    def test_check_wide_cubic(self):
+        p = Polynomial((-(2**89 - 1), 0, 0, 1))
+        t0 = time.perf_counter()
+        assert IrreduciblePoly.check(p).certification is Certification.PROVEN
+        assert time.perf_counter() - t0 < 1.0
 
     def test_reducible_rejected(self):
         with pytest.raises(ValueError):
