@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -357,16 +358,30 @@ def _fail(code: str, message: str, context: dict, status: int) -> int:
     return status
 
 
-def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+def _dispatch(args) -> int:
     try:
         return args.func(args)
+    except BrokenPipeError:
+        raise  # stdout is gone, so no error object can reach the reader
     except DomainError as exc:
         return _fail(exc.code, str(exc), exc.context(), 2)
     except VerificationFailed as exc:
         return _fail(exc.code, str(exc), exc.context(), 3)
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         return _fail("input-error", str(exc), {}, 1)
+
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
+    try:
+        status = _dispatch(args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # the reader closed stdout: point it at devnull so that the
+        # interpreter's final flush stays quiet, as Python's SIGPIPE note does
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

@@ -225,7 +225,6 @@ def solve_lambda_comm(
     else:
         s, j = similarity_transform(t, hints, conv)
         s_inv = invert(s)
-        conv = j.convention
     v = v_aleph(lam, j.aleph, j.convention)
     raw = _paired_intertwiners(
         j.blocks, j.convention, lambda p: star_irreducible(lam, p)

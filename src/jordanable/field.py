@@ -383,9 +383,6 @@ class Matrix:
                 out[gi * cols + gj] = row[j]
         return Matrix(rows, cols, out)
 
-    def trace(self) -> Fraction:
-        return sum((self[i, i] for i in range(min(self.rows, self.cols))), Fraction(0))
-
     @property
     def is_zero(self) -> bool:
         return all(a == 0 for a in self.entries)

@@ -201,19 +201,6 @@ def lift_root(p: IrreduciblePoly, e: int) -> Polynomial:
     return u
 
 
-def _ext_basis_ops(
-    p: IrreduciblePoly, xhat: Matrix, conv: Convention
-) -> list[Matrix]:
-    """Matrices of the extension-basis elements acting through the lifted root."""
-    if conv.epsilon == 0 and p.degree == 2:
-        from .spectrum import rotation_parameters
-
-        a, b = rotation_parameters(p.poly)
-        i_hat = (xhat - Matrix.identity(xhat.rows).scale(a)).scale(Fraction(1) / b)
-        return [Matrix.identity(xhat.rows), i_hat]
-    return [xhat**k for k in range(p.degree)]
-
-
 def _chain_tops(
     a: Matrix,
     kers: list[list[tuple]],
@@ -268,7 +255,7 @@ def similarity_transform(
         counts = {n: m for (q, n), m in a.items() if q == p}
         xhat = lift_root(p, len(kers) - 2)(t)
         nil = t - xhat
-        basis_ops = _ext_basis_ops(p, xhat, conv)
+        basis_ops = ext_basis_matrices(p, conv, xhat)
         tops = _chain_tops(pt, kers, counts, basis_ops)
         for n in sorted(counts):
             for v in tops.get(n, []):

@@ -78,10 +78,6 @@ class AlmostAbelianAlgebra:
         return 1 + self.form.dim
 
     @property
-    def labels(self) -> tuple:
-        return (None,) + self.form.index
-
-    @property
     def is_heisenberg(self) -> bool:
         return self.aleph.entries == {(x_irreducible(), 2): 1}
 

@@ -91,10 +91,7 @@ def poly_from_json(data) -> Polynomial:
 
 
 def irreducible_from_json(data) -> IrreduciblePoly:
-    p = poly_from_json(data)
-    if p.degree <= 3:
-        return IrreduciblePoly.check(p)
-    return IrreduciblePoly.hinted(p)
+    return IrreduciblePoly.hinted(poly_from_json(data))
 
 
 def hints_from_json(data) -> list[IrreduciblePoly]:

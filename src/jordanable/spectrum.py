@@ -4,11 +4,14 @@ Irreducibility over Q is certified autonomously only up to degree 3
 (absence of rational roots); higher degrees must be asserted through
 hints.  Rational roots are found by p-adic (Hensel) lifting of the roots
 modulo a small prime, at a cost polynomial in the coefficients'
-bit-size; only Kronecker's search for quadratic and cubic factors of a
-residual of degree >= 4 (`_find_small_factor`) still enumerates
-divisors.  Two companion conventions are supported: the general form
-(epsilon=1) and the rotation-scaling 2x2 form (epsilon=0) for quadratics
-that split as (X-a)^2 + b^2 with rational a, b.
+bit-size, once per squarefree part; the pieces of degree <= 3 left after
+the roots are removed have no linear factor, so they are irreducible by
+construction.  Only Kronecker's search for quadratic and cubic factors of
+a residual of degree >= 4 (`_find_small_factor`) still enumerates
+divisors, of its values at deg points.  Two companion conventions are
+supported: the general form (epsilon=1) and the rotation-scaling 2x2
+form (epsilon=0) for quadratics that split as (X-a)^2 + b^2 with
+rational a, b.
 """
 
 from __future__ import annotations
@@ -82,7 +85,11 @@ def rational_roots(p: Polynomial) -> list[Fraction]:
     if p.degree < 1:
         return []
     g = poly_gcd(p, p.derivative())
-    f = p if g.degree == 0 else poly_divmod(p, g)[0]
+    return _squarefree_roots(p if g.degree == 0 else poly_divmod(p, g)[0])
+
+
+def _squarefree_roots(f: Polynomial) -> list[Fraction]:
+    """`rational_roots` of a squarefree f."""
     lcm = _denominator_lcm(f)
     ints = [int(c * lcm) for c in f.coeffs]
     content = math.gcd(*ints)
@@ -233,17 +240,22 @@ def companion(p: IrreduciblePoly, conv: Convention = EPS1) -> CompanionMatrix:
     return CompanionMatrix(m, p, conv)
 
 
-def ext_basis_matrices(p: IrreduciblePoly, conv: Convention = EPS1) -> list[Matrix]:
+def ext_basis_matrices(
+    p: IrreduciblePoly, conv: Convention = EPS1, root: Matrix | None = None
+) -> list[Matrix]:
     """F-matrices of the standard F-basis of the extension field Q[X]/(p).
 
-    For epsilon=1 these are the powers x_p^k, k < deg p; for epsilon=0 they
-    are {id, (x_p - a)/b}, matching the rotation-scaling coordinates.
+    The basis acts through `root`, a matrix annihilated by p, by default
+    the companion matrix x_p.  For epsilon=1 these are the powers
+    root^k, k < deg p; for epsilon=0 they are {id, (root - a)/b},
+    matching the rotation-scaling coordinates.
     """
-    xp = companion(p, conv).matrix
+    xp = companion(p, conv).matrix if root is None else root
     d = p.degree
     if conv.epsilon == 0 and d == 2:
         a, b = rotation_parameters(p.poly)
-        return [Matrix.identity(2), (xp - Matrix.identity(2).scale(a)).scale(1 / b)]
+        one = Matrix.identity(xp.rows)
+        return [one, (xp - one.scale(a)).scale(1 / b)]
     return [xp**k for k in range(d)]
 
 
@@ -307,47 +319,43 @@ def _squarefree_parts(p: Polynomial) -> list[tuple[Polynomial, int]]:
     return out
 
 
-def _lagrange(points: list[tuple[Fraction, Fraction]]) -> Polynomial:
-    total = Polynomial.zero()
-    for i, (xi, yi) in enumerate(points):
-        term = Polynomial.constant(yi)
-        for j, (xj, _yj) in enumerate(points):
-            if i == j:
-                continue
-            term = term * Polynomial((-xj, 1)).scale(1 / (xi - xj))
-        total = total + term
-    return total
-
-
 def _find_small_factor(f: Polynomial) -> Polynomial | None:
     """A monic factor of degree 2 or 3 of a monic integer polynomial.
 
-    Kronecker's method: a monic integer factor g must satisfy g(t) | f(t)
-    at integer points, so interpolating divisor combinations at 0, 1, -1
-    (and 2 for cubics) enumerates every candidate.  f is assumed to have
-    no rational roots, hence nonzero values at the sample points.
+    Kronecker's method: a monic integer factor g of degree deg satisfies
+    g(t) | f(t) at the integer points t, and its values at the deg points
+    0, 1 (and -1 for cubics) fix its lower coefficients, so running over
+    the divisors at those points enumerates every candidate; g(2) | f(2)
+    screens a candidate before the trial division.  f is assumed to have
+    no rational roots, hence nonzero values at the sample points, and no
+    quadratic factor when cubics are searched, so a cubic factor needs
+    deg f >= 6.
     """
     from itertools import product as iproduct
 
+    values = {t: f(t) for t in (0, 1, -1, 2)}
+    verify(all(v != 0 and v.denominator == 1 for v in values.values()),
+           "sample value is zero or not an integer", check="kronecker-sample")
+    values = {t: int(v) for t, v in values.items()}
     for deg in (2, 3):
-        if f.degree <= deg:
+        if f.degree < 2 * deg:
             return None
-        pts = [Fraction(t) for t in (0, 1, -1, 2)[: deg + 1]]
-        divisor_lists = []
-        for t in pts:
-            v = f(t)
-            verify(v != 0 and v.denominator == 1,
-                   "sample value is zero or not an integer", check="kronecker-sample")
-            ds = _divisors(int(v))
-            divisor_lists.append([Fraction(s * d) for d in ds for s in (1, -1)])
-        for combo in iproduct(*divisor_lists):
-            g = _lagrange(list(zip(pts, combo)))
-            if g.degree != deg or not g.is_monic:
+        divisor_lists = [[s * d for d in _divisors(values[t]) for s in (1, -1)]
+                         for t in (0, 1, -1)[:deg]]
+        for vals in iproduct(*divisor_lists):
+            if deg == 2:
+                g0, g1 = vals
+                g = [g0, g1 - 1 - g0, 1]
+            else:
+                g0, g1, gm = vals
+                if (g1 + gm) % 2:
+                    continue
+                g = [g0, (g1 - gm) // 2 - 1, (g1 + gm) // 2 - g0, 1]
+            g2 = _eval(g, 2)
+            if g2 == 0 or values[2] % g2:
                 continue
-            if any(c.denominator != 1 for c in g.coeffs):
-                continue
-            if poly_divmod(f, g)[1].is_zero:
-                return g
+            if poly_divmod(f, Polynomial(g))[1].is_zero:
+                return Polynomial(g)
     return None
 
 
@@ -374,8 +382,10 @@ def factor_with_hints(
 ) -> dict[IrreduciblePoly, int]:
     """Factor a monic polynomial into certified irreducibles.
 
-    Degree <= 3 factors are found autonomously (rational roots plus
-    Kronecker interpolation); higher-degree irreducible factors must
+    Degree <= 3 factors are found autonomously: one rational-root search
+    per squarefree part, whose rootless pieces of degree <= 3 are then
+    irreducible by construction, and Kronecker's search over divisors at
+    deg points inside the rest.  Higher-degree irreducible factors must
     appear among the hints, otherwise the unfactored residual is
     reported as an error.
     """
@@ -393,19 +403,16 @@ def factor_with_hints(
             if r.is_zero:
                 add(h, mult)
                 part = q
-        for root in rational_roots(part):
-            lin = IrreduciblePoly.check(Polynomial((-root, 1)))
-            while True:
-                q, r = poly_divmod(part, lin.poly)
-                if not r.is_zero:
-                    break
-                add(lin, mult)
-                part = q
-        for piece in _split_residual(part) if part.degree >= 4 else [part]:
+        for root in _squarefree_roots(part):
+            lin = Polynomial((-root, 1))
+            add(IrreduciblePoly(lin, Certification.PROVEN), mult)
+            part = poly_divmod(part, lin)[0]
+        # part is squarefree and has no rational root left, so every
+        # piece of degree <= 3 is irreducible
+        for piece in _split_residual(part):
             if piece.degree >= 4:
                 raise UnfactoredRemainder(piece)
-            if piece.degree >= 1:
-                add(IrreduciblePoly.check(piece), mult)
+            add(IrreduciblePoly(piece, Certification.PROVEN), mult)
 
     product = Polynomial.one()
     for f, e in factors.items():

@@ -1,10 +1,14 @@
 """Command-line interface: golden outputs and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
 
+import jordanable
 from jordanable.cli import main
 
 
@@ -257,6 +261,22 @@ class TestInvsubVerbs:
 
 
 class TestErrorPaths:
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+    def test_closed_stdout_exit_1_without_traceback(self, unbuffered):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        src = os.path.dirname(os.path.dirname(jordanable.__file__))
+        env = dict(os.environ, PYTHONPATH=src, PYTHONUNBUFFERED=unbuffered)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "jordanable.cli", "oracle", "random", "--seed", "7"],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 1
+        assert b"Traceback" not in proc.stderr
+
     def test_missing_file_exit_1(self, capsys):
         code, out = run(capsys, ["extract-mult", "/nonexistent/m.json"])
         assert code == 1

@@ -92,7 +92,6 @@ class TestMatrix:
         assert a.transpose() == mat([[1, 3], [2, 4]])
         assert a + a == a.scale(2)
         assert (a * Matrix.identity(2)) == a
-        assert a.trace() == 5
 
     def test_block_diag_and_column_stack(self):
         b = Matrix.block_diag([mat([[1]]), mat([[2, 0], [0, 3]])])

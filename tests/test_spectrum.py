@@ -24,6 +24,7 @@ from jordanable import (
     rational_roots,
     star_poly,
 )
+from jordanable import spectrum
 from jordanable.spectrum import ext_basis_matrices, rotation_parameters
 from .conftest import irr, mat
 
@@ -232,6 +233,60 @@ class TestFactorWithHints:
         f = factor_with_hints(prod)
         assert f[irr("X^3 - 2")] == 1
         assert f[irr("X - 1")] == 2
+
+
+# known irreducibles: rational linears (some with non-integer roots),
+# rootless quadratics and cubics (one with a rational coefficient), and
+# X^4 + 1, which only a hint can certify
+QUARTIC = parse_poly("X^4 + 1")
+FACTOR_POOL = [
+    parse_poly(text)
+    for text in ("X", "X + 3", "X - 1/2", "X + 2/3", "X^2 + 1", "X^2 - 2",
+                 "X^2 + X + 1", "X^3 - 2", "X^3 + X + 1", "X^3 - 1/2")
+] + [QUARTIC]
+
+
+class TestFactorProducts:
+    @given(
+        st.lists(st.tuples(st.sampled_from(FACTOR_POOL), st.integers(1, 3)),
+                 min_size=1, max_size=4, unique_by=lambda fe: fe[0])
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_products_of_known_irreducibles(self, picks):
+        prod = Polynomial.one()
+        expected = {}
+        for f, e in picks:
+            prod = prod * f**e
+            cert = Certification.HINTED if f == QUARTIC else Certification.PROVEN
+            expected[IrreduciblePoly(f, cert)] = e
+        if any(p.poly == QUARTIC for p in expected):
+            with pytest.raises(UnfactoredRemainder) as exc:
+                factor_with_hints(prod)
+            assert exc.value.residual == QUARTIC
+        assert factor_with_hints(prod, [IrreduciblePoly.hinted(QUARTIC)]) == expected
+
+    def test_each_part_searched_for_roots_once(self, monkeypatch):
+        """Factoring runs no second root search: neither the squarefree
+        step of `rational_roots` nor a re-check of the leftover pieces."""
+        pieces = ["X - 1/2", "X^2 + 1", "X^2 + 2", "X^3 - 2"]
+        expected = {IrreduciblePoly(parse_poly(t), Certification.PROVEN): e
+                    for t, e in zip(pieces, (1, 1, 1, 2))}
+        prod = Polynomial.one()
+        for f, e in expected.items():
+            prod = prod * f.poly**e
+
+        def forbidden(*_args):
+            raise AssertionError("second root search")
+
+        monkeypatch.setattr(spectrum, "rational_roots", forbidden)
+        monkeypatch.setattr(IrreduciblePoly, "check", staticmethod(forbidden))
+        assert factor_with_hints(prod) == expected
+
+    def test_two_cubics_under_half_a_second(self):
+        prod = parse_poly("X^3 - 5") * parse_poly("X^3 - 7")
+        t0 = time.perf_counter()
+        assert factor_with_hints(prod) == {irr("X^3 - 7"): 1, irr("X^3 - 5"): 1}
+        assert time.perf_counter() - t0 < 0.5
 
 
 class TestParsePoly:
