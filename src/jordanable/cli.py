@@ -9,6 +9,7 @@ as a structured {code, message, context} object.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -60,23 +61,13 @@ def _hints(args):
     return None
 
 
-def _block_cuts(aleph) -> list[int]:
-    cuts = []
-    total = 0
-    for (p, n), mult in aleph.items():
-        for _ in range(mult):
-            total += n * p.degree
-            cuts.append(total)
-    return cuts[:-1]
-
-
 def _cmd_jordanize(args) -> int:
     t = ser.matrix_from_json(_load(args.matrix))
     s, j = similarity_transform(t, _hints(args), _conv(args))
     if args.pretty:
         print(f"aleph = {j.aleph}")
         print("J =")
-        print(ser.pretty_matrix(j.matrix, _block_cuts(j.aleph)))
+        print(ser.pretty_matrix(j.matrix, [b.offset for b in j.blocks[1:]]))
         print("S =")
         print(ser.pretty_matrix(s))
         return 0
@@ -261,7 +252,7 @@ def _cmd_invsub(args) -> int:
     )
 
 
-def _add_common(p, hints=True, epsilon=True, pretty=True):
+def _add_common(p, hints=True, epsilon=True, pretty=False):
     if hints:
         p.add_argument("--hints", help="JSON file with irreducibility hints")
     if epsilon:
@@ -270,7 +261,10 @@ def _add_common(p, hints=True, epsilon=True, pretty=True):
         p.add_argument("--pretty", action="store_true")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process: each build leaves reference
+    cycles behind, and parsing does not change it."""
     ap = argparse.ArgumentParser(
         prog="jordanable",
         description="Exact Jordan forms, operator equations and almost "
@@ -280,18 +274,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("jordanize", help="canonical form and similarity")
     p.add_argument("matrix")
-    _add_common(p)
+    _add_common(p, pretty=True)
     p.set_defaults(func=_cmd_jordanize)
 
     p = sub.add_parser("extract-mult", help="multiplicity function of a matrix")
     p.add_argument("matrix")
-    _add_common(p, epsilon=False, pretty=False)
+    _add_common(p, epsilon=False)
     p.set_defaults(func=_cmd_extract_mult)
 
     p = sub.add_parser("classify", help="projective similarity classification")
     p.add_argument("m1")
     p.add_argument("m2")
-    _add_common(p, pretty=False)
+    _add_common(p)
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("solve", help="the three operator equations")
@@ -299,15 +293,15 @@ def build_parser() -> argparse.ArgumentParser:
     q = solve_sub.add_parser("xt-ltx", help="X T = lambda T X")
     q.add_argument("matrix")
     q.add_argument("--lambda", required=True)
-    _add_common(q, pretty=False)
+    _add_common(q)
     q.set_defaults(func=_cmd_solve)
     q = solve_sub.add_parser("yt-ty-t", help="Y T - T Y = T")
     q.add_argument("matrix")
-    _add_common(q, epsilon=False, pretty=False)
+    _add_common(q, epsilon=False)
     q.set_defaults(func=_cmd_solve)
     q = solve_sub.add_parser("zjt", help="Z J + J^T Z = 0")
     q.add_argument("--aleph", required=True)
-    _add_common(q, hints=False, pretty=False)
+    _add_common(q, hints=False)
     q.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("lie", help="almost Abelian Lie algebra structure")
@@ -315,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("centre", "nilpotent", "decompose", "aut", "der", "casimir"):
         q = lie_sub.add_parser(name)
         q.add_argument("--aleph", required=True)
-        _add_common(q, hints=False)
+        _add_common(q, hints=False, pretty=name == "casimir")
         q.set_defaults(func=_cmd_lie)
     q = lie_sub.add_parser("lcs")
     q.add_argument("--aleph", required=True)
@@ -325,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     q = lie_sub.add_parser("classify")
     q.add_argument("m1")
     q.add_argument("m2")
-    _add_common(q, pretty=False)
+    _add_common(q)
     q.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("oracle", help="brute-force verification solver")
@@ -342,12 +336,12 @@ def build_parser() -> argparse.ArgumentParser:
     q = inv_sub.add_parser("make")
     q.add_argument("spec")
     q.add_argument("--aleph", required=True)
-    _add_common(q, hints=False, pretty=False)
+    _add_common(q, hints=False)
     q.set_defaults(func=_cmd_invsub)
     q = inv_sub.add_parser("check")
     q.add_argument("matrix")
     q.add_argument("subspace")
-    _add_common(q, epsilon=False, pretty=False)
+    _add_common(q, epsilon=False)
     q.set_defaults(func=_cmd_invsub)
 
     return ap

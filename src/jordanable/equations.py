@@ -13,7 +13,7 @@ from typing import Optional
 
 from .errors import ZeroMultiplicityFunction, verify
 from .field import Matrix, _frac, invert, span_contains
-from .jordan import Block, JordanForm, canonical_form, similarity_transform
+from .jordan import Block, JordanForm, block_layout, canonical_form, similarity_transform
 from .multiplicity import MultiplicityFunction
 from .spectrum import (
     Convention,
@@ -179,30 +179,23 @@ def v_aleph(lam, a: MultiplicityFunction, conv: Convention = EPS1) -> Matrix:
     if lam == 0:
         raise ValueError("V(lam; aleph) is only defined for nonzero lam")
     scale = lam if conv.epsilon == 1 else lam / abs(lam)
-    blocks = []
-    for (p, n), mult in a.items():
-        piece = v_matrix(n, 1 / lam).kron(v_matrix(p.degree, scale))
-        blocks.extend([piece] * mult)
-    return Matrix.block_diag(blocks)
+    return Matrix.block_diag(
+        [v_matrix(b.n, 1 / lam).kron(v_matrix(b.p.degree, scale)) for b in block_layout(a)]
+    )
 
 
 def u_aleph(a: MultiplicityFunction) -> Matrix:
     """U(aleph) = direct sum of U_n blocks; defined for supp aleph = {X}."""
     if any(p != x_irreducible() for p in a.supp):
         raise ValueError("U(aleph) requires support {X}")
-    blocks = []
-    for (_p, n), mult in a.items():
-        blocks.extend([u_matrix(n)] * mult)
-    return Matrix.block_diag(blocks)
+    return Matrix.block_diag([u_matrix(b.n) for b in block_layout(a)])
 
 
 def w_aleph(a: MultiplicityFunction, conv: Convention = EPS1) -> Matrix:
     """W(aleph) = direct sum of P_n tensor W_p^eps; symmetric and invertible."""
-    blocks = []
-    for (p, n), mult in a.items():
-        piece = p_matrix(n).kron(w_matrix(p, conv))
-        blocks.extend([piece] * mult)
-    return Matrix.block_diag(blocks)
+    return Matrix.block_diag(
+        [p_matrix(b.n).kron(w_matrix(b.p, conv)) for b in block_layout(a)]
+    )
 
 
 def solve_lambda_comm(

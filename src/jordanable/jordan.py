@@ -23,7 +23,6 @@ from .field import (
     poly_divmod,
     poly_xgcd,
     row_reduce,
-    solve_linear,
     span_contains,
 )
 from .multiplicity import MultiplicityFunction
@@ -93,6 +92,14 @@ def block_layout(a: MultiplicityFunction) -> list[Block]:
 
 @dataclass(frozen=True)
 class JordanForm:
+    """J(aleph) with its layout.
+
+    ``blocks`` (one `Block` per J(p,n) copy, with its coordinate range)
+    and ``index`` (one `BlockIndex` per coordinate) are the one source of
+    the block layout: callers read coordinates and labels from them
+    rather than re-deriving the order from ``aleph``.
+    """
+
     matrix: Matrix
     aleph: MultiplicityFunction
     convention: Convention
@@ -259,11 +266,11 @@ def similarity_transform(
         tops = _chain_tops(pt, kers, counts, basis_ops)
         for n in sorted(counts):
             for v in tops.get(n, []):
-                chain_cols = []
-                for m in range(1, n + 1):
-                    em = (nil ** (n - m)).apply(v)
-                    for op in basis_ops:
-                        chain_cols.append(list(op.apply(em)))
+                chain = [v]  # nil^(n-m) v for m = n down to 1
+                for _ in range(n - 1):
+                    chain.append(nil.apply(chain[-1]))
+                chain_cols = [list(op.apply(em))
+                              for em in reversed(chain) for op in basis_ops]
                 columns.setdefault((p, n), []).append(chain_cols)
     ordered: list[list] = []
     for (p, n), _m in a.items():
@@ -323,25 +330,23 @@ def invariant_subspace_from(
 ) -> list[tuple]:
     """Basis of the invariant subspace generated by the mu-combinations."""
     xi = _xi_chains(j)
+    terms: dict[tuple, list[tuple]] = {}  # (p, n, beta) -> its nonzero mu terms
+    for (p, n, beta, k, alpha, shift), val in spec.mu.items():
+        if val != 0:
+            terms.setdefault((p, n, beta), []).append((k, alpha, shift, val))
     vectors: list[tuple] = []
     for (p, n), mult in spec.beth.items():
+        actions = [_ext_action(j, p, k) for k in range(p.degree)]
         for beta in range(mult):
-            witnessed = any(
-                key[0] == p and key[1] == n and key[2] == beta and key[5] == 0
-                and key[3] >= n and val != 0
-                for key, val in spec.mu.items()
-            )
-            if not witnessed:
+            chain_terms = terms.get((p, n, beta), [])
+            if not any(shift == 0 and k >= n for k, _a, shift, _v in chain_terms):
                 raise ValueError(
                     f"no nonzero top coefficient for chain ({p}, {n}, {beta}); "
                     "the generated subspace cannot have that block"
                 )
-            etas = []
             for m in range(1, n + 1):
                 eta = [Fraction(0)] * j.dim
-                for (pp, nn, bb, k, alpha, shift), val in spec.mu.items():
-                    if (pp, nn, bb) != (p, n, beta) or val == 0:
-                        continue
+                for k, alpha, shift, val in chain_terms:
                     l = m - shift
                     if l < 1 or l > min(k, m):
                         continue
@@ -349,10 +354,7 @@ def invariant_subspace_from(
                     if chain is None:
                         raise ValueError(f"no source block ({p}, {k}, {alpha})")
                     eta = [x + val * y for x, y in zip(eta, chain[l - 1])]
-                etas.append(tuple(eta))
-            for eta in etas:
-                for k in range(p.degree):
-                    vectors.append(_ext_action(j, p, k).apply(eta))
+                vectors.extend(op.apply(eta) for op in actions)
     if not independent(vectors):
         raise ValueError("generated vectors are linearly dependent")
     return vectors
@@ -361,18 +363,22 @@ def invariant_subspace_from(
 def check_invariant_and_restrict(
     t: Matrix, w: Sequence[Sequence], hints: list[IrreduciblePoly] | None = None
 ) -> Optional[MultiplicityFunction]:
-    """Multiplicity function of t restricted to span(w), or None if not invariant."""
+    """Multiplicity function of t restricted to span(w), or None if not invariant.
+
+    With W the basis as columns, span(w) is invariant iff [W | t W] has
+    rank k = dim W; the reduced form is then (I R; 0 0) with t W = W R.
+    """
     vectors = [list(v) for v in w]
     if not vectors:
         return MultiplicityFunction(())
     if not independent(vectors):
         raise ValueError("dependent spanning set")
-    mat = Matrix.column_stack(vectors)
-    coeffs = []
-    for v in vectors:
-        sol = solve_linear(mat, t.apply(v))
-        if sol is None:
-            return None
-        coeffs.append(list(sol[0]))
-    restriction = Matrix.column_stack(coeffs)
+    images = [list(t.apply(v)) for v in vectors]
+    if t.rows != t.cols:
+        raise ValueError("right-hand side length mismatch")
+    k = len(vectors)
+    rank, rref, _, _ = row_reduce(Matrix.column_stack(vectors + images))
+    if rank != k:
+        return None
+    restriction = Matrix(k, k, [rref[i, k + c] for i in range(k) for c in range(k)])
     return multiplicity_of(restriction, hints)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .errors import (
     DecomposableUnsupported,
@@ -25,7 +25,6 @@ from .field import (
     invert,
     matrix_rank,
     row_reduce,
-    span_contains,
 )
 from .jordan import (
     BlockIndex,
@@ -101,30 +100,29 @@ def bracket(l: AlmostAbelianAlgebra, x: Sequence, y: Sequence) -> tuple:
     return (Fraction(0),) + tuple(a * cw - b * cu for cw, cu in zip(jw, ju))
 
 
+def _coords(l: AlmostAbelianAlgebra, keep: Callable[[BlockIndex], bool]) -> list[int]:
+    """Full coordinates (e0 is 0) of the V basis vectors whose label passes keep."""
+    return [1 + i for i, x in enumerate(l.form.index) if keep(x)]
+
+
+def _labeled(
+    l: AlmostAbelianAlgebra, keep: Callable[[BlockIndex], bool]
+) -> list[LabeledVector]:
+    return [LabeledVector(l.form.index[c - 1], l.unit(c)) for c in _coords(l, keep)]
+
+
 def centre(l: AlmostAbelianAlgebra) -> list[LabeledVector]:
     """Z(L) = ker ad_e0: the bottom chain vectors of the X blocks."""
-    out = []
     xp = x_irreducible()
-    for b in l.form.blocks:
-        if b.p == xp:
-            label = BlockIndex(b.p, b.n, b.alpha, 1, 0)
-            out.append(LabeledVector(label, l.unit(1 + b.coord(1, 0))))
-    return out
+    return _labeled(l, lambda x: x.p == xp and x.m == 1)
 
 
 def lower_central_series(l: AlmostAbelianAlgebra, k: int) -> list[LabeledVector]:
     """L_(k) = image of ad_e0^k: non-X blocks entirely, X chains cut by k."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    out = []
     xp = x_irreducible()
-    for b in l.form.blocks:
-        top = b.n - k if b.p == xp else b.n
-        for m in range(1, top + 1):
-            for j in range(b.p.degree):
-                label = BlockIndex(b.p, b.n, b.alpha, m, j)
-                out.append(LabeledVector(label, l.unit(1 + b.coord(m, j))))
-    return out
+    return _labeled(l, lambda x: x.p != xp or x.m <= x.n - k)
 
 
 def is_nilpotent(l: AlmostAbelianAlgebra) -> bool:
@@ -361,20 +359,6 @@ def derivation_space(l: AlmostAbelianAlgebra) -> SolutionSpace:
     )
 
 
-def _l0_coord_map(l: AlmostAbelianAlgebra) -> tuple[list[int], list[int]]:
-    """Indices of the L0 coordinates (e0 first) and of the W coordinates."""
-    xp = x_irreducible()
-    l0 = [0]
-    w = []
-    for b in l.form.blocks:
-        coords = [1 + b.coord(m, k) for m in range(1, b.n + 1) for k in range(b.p.degree)]
-        if b.p == xp and b.n == 1:
-            w.extend(coords)
-        else:
-            l0.extend(coords)
-    return l0, w
-
-
 @dataclass(frozen=True)
 class CompositeSpace:
     """Aut/Der of a decomposable L = L0 + W, in block-map form.
@@ -447,25 +431,18 @@ def compose_decomposable(l: AlmostAbelianAlgebra, kind: str) -> CompositeSpace:
     l0 = AlmostAbelianAlgebra(l0_aleph, l.convention)
     if l0.is_heisenberg:
         raise HeisenbergDeferred()
-    l0_coords, w_coords = _l0_coord_map(l)
+    xp = x_irreducible()
+    w_coords = _coords(l, lambda x: x.p == xp and x.n == 1)
+    l0_coords = [0] + _coords(l, lambda x: x.p != xp or x.n > 1)
     n = l.dimension
 
     # phi01: W -> Z(L0)
-    centre_coords = [
-        1 + b.coord(1, 0)
-        for b in l.form.blocks
-        if b.p == x_irreducible() and b.n > 1
-    ]
+    centre_coords = _coords(l, lambda x: x.p == xp and x.n > 1 and x.m == 1)
     phi01 = tuple(
         _unit_matrix(n, z, w) for w in w_coords for z in centre_coords
     )
     # phi10: L0 -> W vanishing on (L0)_(1) = JV0 (the brackets of L0)
-    xp = x_irreducible()
-    cokernel_coords = [0]
-    for b in l.form.blocks:
-        if b.p == xp and b.n > 1:
-            for k in range(b.p.degree):
-                cokernel_coords.append(1 + b.coord(b.n, k))
+    cokernel_coords = [0] + _coords(l, lambda x: x.p == xp and x.n > 1 and x.m == x.n)
     phi10 = tuple(
         _unit_matrix(n, w, c) for w in w_coords for c in cokernel_coords
     )
@@ -539,28 +516,23 @@ def casimir_basis(l: AlmostAbelianAlgebra) -> list[CasimirElement]:
     return out
 
 
-def check_subalgebra(l: AlmostAbelianAlgebra, vectors: Sequence[Sequence]) -> bool:
-    """True when span(vectors) is closed under the bracket."""
+def _closed(vectors: Sequence[Sequence], brackets: Callable[[list], list]) -> bool:
+    """span(vectors) holds every vector of brackets(W): rank [W | brackets] = dim W."""
     vecs = [[_frac(c) for c in v] for v in vectors]
     if not independent(vecs):
         raise ValueError("dependent spanning set")
-    span = [tuple(v) for v in vecs]
-    for i in range(len(vecs)):
-        for j in range(i + 1, len(vecs)):
-            if not span_contains(span, bracket(l, vecs[i], vecs[j])):
-                return False
-    return True
+    return matrix_rank(Matrix.column_stack(vecs + brackets(vecs))) == len(vecs)
+
+
+def check_subalgebra(l: AlmostAbelianAlgebra, vectors: Sequence[Sequence]) -> bool:
+    """True when span(vectors) is closed under the bracket."""
+    return _closed(vectors, lambda w: [
+        bracket(l, x, y) for i, x in enumerate(w) for y in w[i + 1:]
+    ])
 
 
 def check_ideal(l: AlmostAbelianAlgebra, vectors: Sequence[Sequence]) -> bool:
     """True when [L, span(vectors)] lies inside span(vectors)."""
-    vecs = [[_frac(c) for c in v] for v in vectors]
-    if not independent(vecs):
-        raise ValueError("dependent spanning set")
-    span = [tuple(v) for v in vecs]
-    for i in range(l.dimension):
-        unit = l.unit(i)
-        for v in vecs:
-            if not span_contains(span, bracket(l, unit, v)):
-                return False
-    return True
+    return _closed(vectors, lambda w: [
+        bracket(l, l.unit(i), v) for i in range(l.dimension) for v in w
+    ])

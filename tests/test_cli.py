@@ -1,5 +1,6 @@
 """Command-line interface: golden outputs and exit codes."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -27,6 +28,35 @@ BIANCHI = [
     {"p": [-1, 1], "n": 1, "mult": 1},
     {"p": [1, 1], "n": 1, "mult": 1},
 ]
+
+
+class TestParser:
+    def test_built_once_per_process(self, tmp_path, capsys, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            if kwargs.get("prog") == "jordanable":
+                built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        a = write(tmp_path, "a.json", BIANCHI)
+        for _ in range(2):
+            assert run(capsys, ["lie", "nilpotent", "--aleph", a]) == (
+                0, '{"nilpotent":false}'
+            )
+        assert len(built) <= 1
+
+    @pytest.mark.parametrize(
+        "op", ["centre", "lcs --k 1", "nilpotent", "decompose", "aut", "der"]
+    )
+    def test_pretty_only_where_read(self, tmp_path, capsys, op):
+        a = write(tmp_path, "a.json", BIANCHI)
+        with pytest.raises(SystemExit) as info:
+            main(["lie", *op.split(), "--aleph", a, "--pretty"])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --pretty" in capsys.readouterr().err
 
 
 class TestLieVerbs:
