@@ -2,7 +2,8 @@
 
 Shows the 7x7 canonical form with its block partition, the invariant
 subspaces of each type, the split into an indecomposable core plus a
-one-dimensional Abelian factor, and the composed Aut/Der/Casimir data.
+one-dimensional Abelian factor, the composed Aut data, Der and the
+Casimirs.
 """
 
 from fractions import Fraction

@@ -22,7 +22,6 @@ from .spectrum import (
     companion,
     ext_basis_matrices,
     star_irreducible,
-    x_irreducible,
 )
 
 
@@ -145,15 +144,15 @@ def jordan_intertwiners(
 
 
 def _paired_intertwiners(
-    blocks: list[Block], conv: Convention, target_poly
+    blocks: list[Block], conv: Convention, target_poly, dim: int
 ) -> list[Matrix]:
-    """Full-size basis of R with R J(aleph) = J' R.
+    """Basis of the dim x dim R with R J(aleph) = J' R supported on blocks.
 
     J' is block diagonal with block i equal to J(target_poly(p_i), n_i);
     the (i, j) sub-block of R is a jordan intertwiner and vanishes unless
-    target_poly(p_i) = p_j.
+    target_poly(p_i) = p_j.  The blocks may cover only part of the dim
+    coordinates; R vanishes outside them.
     """
-    dim = sum(b.size for b in blocks)
     out = []
     for bi in blocks:
         pi = target_poly(bi.p)
@@ -169,7 +168,7 @@ def _paired_intertwiners(
 
 def commutant(j: JordanForm) -> SolutionSpace:
     """All X with X J = J X, in the structured block basis."""
-    basis = _paired_intertwiners(j.blocks, j.convention, lambda p: p)
+    basis = _paired_intertwiners(j.blocks, j.convention, lambda p: p, j.dim)
     return SolutionSpace((j.dim, j.dim), tuple(basis))
 
 
@@ -186,7 +185,7 @@ def v_aleph(lam, a: MultiplicityFunction, conv: Convention = EPS1) -> Matrix:
 
 def u_aleph(a: MultiplicityFunction) -> Matrix:
     """U(aleph) = direct sum of U_n blocks; defined for supp aleph = {X}."""
-    if any(p != x_irreducible() for p in a.supp):
+    if not a.supported_on_x:
         raise ValueError("U(aleph) requires support {X}")
     return Matrix.block_diag([u_matrix(b.n) for b in block_layout(a)])
 
@@ -220,7 +219,7 @@ def solve_lambda_comm(
         s_inv = invert(s)
     v = v_aleph(lam, j.aleph, j.convention)
     raw = _paired_intertwiners(
-        j.blocks, j.convention, lambda p: star_irreducible(lam, p)
+        j.blocks, j.convention, lambda p: star_irreducible(lam, p), j.dim
     )
     basis = []
     tm = t.matrix if isinstance(t, JordanForm) else t
@@ -245,7 +244,7 @@ def solve_inhom_comm(
     if t.is_zero:
         raise ValueError("T must be nonzero")
     s, j = similarity_transform(t, hints)
-    if any(p != x_irreducible() for p in j.aleph.supp):
+    if not j.aleph.supported_on_x:
         return None
     s_inv = invert(s)
     offset = s_inv * u_aleph(j.aleph) * s

@@ -48,7 +48,7 @@ class HeisenbergDeferred(DomainError):
 
 
 class DecomposableUnsupported(DomainError):
-    """Aut/Der of a decomposable algebra must go through compose_decomposable."""
+    """Aut of a decomposable algebra must go through compose_decomposable."""
 
     code = "decomposable-unsupported"
 

@@ -40,7 +40,7 @@ from .multiplicity import (
 )
 from .equations import (
     SolutionSpace,
-    commutant,
+    _paired_intertwiners,
     solve_lambda_comm,
     solve_transpose_pair,
     u_aleph,
@@ -61,6 +61,15 @@ class LabeledVector:
         return f"{name}: {self.vector}"
 
 
+def _heisenberg(a: MultiplicityFunction) -> bool:
+    return a.entries == {(x_irreducible(), 2): 1}
+
+
+def _in_w(p: IrreduciblePoly, n: int) -> bool:
+    """W, the Abelian factor that L splits off, is the (X,1) blocks."""
+    return p == x_irreducible() and n == 1
+
+
 class AlmostAbelianAlgebra:
     """A(aleph): one outer generator e0 acting on the Abelian ideal V."""
 
@@ -78,7 +87,7 @@ class AlmostAbelianAlgebra:
 
     @property
     def is_heisenberg(self) -> bool:
-        return self.aleph.entries == {(x_irreducible(), 2): 1}
+        return _heisenberg(self.aleph)
 
     def unit(self, coord: int) -> tuple:
         v = [Fraction(0)] * self.dimension
@@ -127,18 +136,44 @@ def lower_central_series(l: AlmostAbelianAlgebra, k: int) -> list[LabeledVector]
 
 def is_nilpotent(l: AlmostAbelianAlgebra) -> bool:
     """Nilpotent exactly when the support is {X}."""
-    xp = x_irreducible()
-    return all(p == xp for p in l.aleph.supp)
+    return l.aleph.supported_on_x
 
 
 def decompose(l: AlmostAbelianAlgebra) -> tuple[MultiplicityFunction, int]:
     """Split off W = the (X,1) copies; the rest stays in L0."""
-    xp = x_irreducible()
-    w_dim = l.aleph(xp, 1)
     l0 = MultiplicityFunction(
-        (p, n, m) for (p, n), m in l.aleph.items() if (p, n) != (xp, 1)
+        (p, n, m) for (p, n), m in l.aleph.items() if not _in_w(p, n)
     )
-    return l0, w_dim
+    return l0, l.aleph(x_irreducible(), 1)
+
+
+def _split(l: AlmostAbelianAlgebra) -> tuple[MultiplicityFunction, list, list, tuple]:
+    """L = L0 + W in L's own coordinates.
+
+    Returns aleph(L0), the V coordinates of L0 and of W, and the unit
+    bases of the three corner maps (phi01, phi10, phi11): phi01 sends W
+    into Z(L0), phi10 sends L0 to W and kills (L0)_(1) = J V0 (the
+    brackets of L0), phi11 acts on W.  Without W the corners are empty;
+    with W, L0 must be neither Abelian nor Heisenberg.
+    """
+    l0, w_dim = decompose(l)
+    if w_dim and l0.is_zero:
+        raise ZeroMultiplicityFunction(
+            "Abelian algebra: not almost Abelian, no structure to compose"
+        )
+    if w_dim and _heisenberg(l0):
+        raise HeisenbergDeferred()
+    xp = x_irreducible()
+    n = l.dimension
+    w = _coords(l, lambda x: _in_w(x.p, x.n))
+    centre0 = _coords(l, lambda x: x.p == xp and x.n > 1 and x.m == 1)
+    coker0 = [0] + _coords(l, lambda x: x.p == xp and x.n > 1 and x.m == x.n)
+    corners = (
+        tuple(_unit_matrix(n, z, c) for c in w for z in centre0),
+        tuple(_unit_matrix(n, c, k) for c in w for k in coker0),
+        tuple(_unit_matrix(n, ci, cj) for ci in w for cj in w),
+    )
+    return l0, _coords(l, lambda x: not _in_w(x.p, x.n)), w, corners
 
 
 def classify_iso(
@@ -193,15 +228,6 @@ def _block_permutation(
     return Matrix(dim, dim, entries)
 
 
-def _reject_special(l: AlmostAbelianAlgebra, allow_decomposable: bool = False):
-    if l.is_heisenberg:
-        raise HeisenbergDeferred()
-    if not allow_decomposable and decompose(l)[1] > 0:
-        raise DecomposableUnsupported(
-            "decomposable algebra: use compose_decomposable"
-        )
-
-
 @dataclass(frozen=True)
 class AutomorphismSpace:
     """Aut(L) for indecomposable non-Heisenberg L.
@@ -251,7 +277,10 @@ class AutomorphismSpace:
 
 def automorphism_space(l: AlmostAbelianAlgebra) -> AutomorphismSpace:
     """Structured description of Aut(L); L indecomposable, not Heisenberg."""
-    _reject_special(l)
+    if l.is_heisenberg:
+        raise HeisenbergDeferred()
+    if decompose(l)[1] > 0:
+        raise DecomposableUnsupported("decomposable algebra: use compose_decomposable")
     return AutomorphismSpace(l, dilation_symmetries(l.aleph), l.form.dim)
 
 
@@ -279,18 +308,13 @@ def _blocks(l: AlmostAbelianAlgebra, m: Matrix) -> tuple:
 def _wedge_free(b: Matrix, m: Matrix) -> bool:
     """b_l M e_k == b_k M e_l for all k, l.
 
-    For b = 0 it holds trivially; otherwise, with a pivot b_p != 0, it
-    says M e_k = (b_k / b_p) M e_p for every k, i.e. M = (M e_p / b_p) b.
+    For b = 0 it holds trivially; otherwise, with b_p the first nonzero
+    entry of b, it is the one identity (M e_p) b = b_p M.
     """
     p = next((k for k, x in enumerate(b.entries) if x), None)
     if p is None:
         return True
-    bp = b.entries[p]
-    return all(
-        bp * m[i, k] == b.entries[k] * m[i, p]
-        for i in range(m.rows)
-        for k in range(m.cols)
-    )
+    return Matrix(m.rows, 1, m.column(p)) * b == m.scale(b.entries[p])
 
 
 def is_derivation(l: AlmostAbelianAlgebra, d: Matrix) -> bool:
@@ -337,36 +361,40 @@ def _verify_derivations(l: AlmostAbelianAlgebra, basis: Sequence[Matrix]) -> Non
 def derivation_space(l: AlmostAbelianAlgebra) -> SolutionSpace:
     """Der(L) as an explicit basis of full coordinate matrices.
 
-    Indecomposable case: (0 0; gamma Delta) with Delta in the commutant,
-    plus, when L is nilpotent, one extra direction (alpha 0; 0 alpha U).
-    Decomposable L = L0 + W is assembled from Der(L0) and the maps
-    W -> Z(L0), L0/(L0)_(1) -> W and W -> W.
+    With L = L0 + W (W the (X,1) blocks, possibly none) the basis is, in
+    order: (0 0; gamma 0) for the units gamma of V0; (0 0; 0 Delta) for
+    Delta a J-intertwiner between two blocks of L0; (alpha 0; 0 alpha U)
+    with U = U(aleph) when L is nilpotent; and the corner unit maps
+    W -> Z(L0), L0/(L0)_(1) -> W and W -> W.  Each element is checked
+    once as a derivation of L.
     """
     if l.is_heisenberg:
         raise HeisenbergDeferred()
-    l0_aleph, w_dim = decompose(l)
-    if w_dim == 0:
-        n = l.dimension
-        v = range(1, n)  # the V coordinates: V -> V maps extend by zero on e0
-        basis = [_unit_matrix(n, i, 0) for i in v]  # gamma: e0 -> V
-        basis.extend(c.embed(n, n, v, v) for c in commutant(l.form).basis)
-        if is_nilpotent(l):
-            basis.append(u_aleph(l.aleph).embed(n, n, v, v) + _unit_matrix(n, 0, 0))
-        _verify_derivations(l, basis)
-        return SolutionSpace((n, n), tuple(basis))
-    return SolutionSpace(
-        (l.dimension, l.dimension), tuple(compose_decomposable(l, "der").full_basis())
+    _l0, core, _w, corners = _split(l)
+    n = l.dimension
+    v = range(1, n)  # the V coordinates: V -> V maps extend by zero on e0
+    basis = [_unit_matrix(n, i, 0) for i in core]
+    blocks = [b for b in l.form.blocks if not _in_w(b.p, b.n)]
+    basis.extend(
+        r.embed(n, n, v, v)
+        for r in _paired_intertwiners(blocks, l.convention, lambda p: p, l.form.dim)
     )
+    if is_nilpotent(l):
+        basis.append(u_aleph(l.aleph).embed(n, n, v, v) + _unit_matrix(n, 0, 0))
+    basis.extend(m for corner in corners for m in corner)
+    _verify_derivations(l, basis)
+    return SolutionSpace((n, n), tuple(basis))
 
 
 @dataclass(frozen=True)
 class CompositeSpace:
-    """Aut/Der of a decomposable L = L0 + W, in block-map form.
+    """Aut/Der of L0 for a decomposable L = L0 + W, with the corner maps.
 
     The inner description covers phi00 on L0; the unit bases list the
     admissible corner maps: phi01 sends W into Z(L0), phi10 kills
-    (L0)_(1), phi11 acts on W (invertible for automorphisms).  All
-    matrices are full L-coordinate matrices.
+    (L0)_(1), phi11 acts on W (invertible for automorphisms).  The corner
+    bases are full L-coordinate matrices; Der(L) itself, as one basis,
+    is `derivation_space(L)`.
     """
 
     algebra: AlmostAbelianAlgebra
@@ -379,19 +407,6 @@ class CompositeSpace:
     l0_coords: tuple
     w_coords: tuple
 
-    def full_basis(self) -> list[Matrix]:
-        """For kind 'der': basis of the full derivation space."""
-        if self.kind != "der":
-            raise ValueError("full_basis is only linear for derivations")
-        basis = [self._embed_l0(d) for d in self.l0_space.basis]
-        basis.extend(self.phi01_basis + self.phi10_basis + self.phi11_basis)
-        _verify_derivations(self.algebra, basis)
-        return basis
-
-    def _embed_l0(self, m0: Matrix) -> Matrix:
-        n = self.algebra.dimension
-        return m0.embed(n, n, self.l0_coords, self.l0_coords)
-
     def assemble_automorphism(
         self, nu, delta: Matrix, gamma: Sequence, phi10, phi11: Matrix
     ) -> Matrix:
@@ -403,14 +418,14 @@ class CompositeSpace:
         """
         if self.kind != "aut":
             raise ValueError("assemble_automorphism needs kind 'aut'")
+        n = self.algebra.dimension
         phi00 = self.l0_space.assemble(nu, delta, gamma)
-        full = self._embed_l0(phi00)
+        full = phi00.embed(n, n, self.l0_coords, self.l0_coords)
         for c, b in zip(phi10, self.phi10_basis):
             full = full + b.scale(_frac(c))
         w = len(self.w_coords)
         if matrix_rank(phi11) != w:
             raise ValueError("phi11 must be invertible")
-        n = self.algebra.dimension
         full = full + phi11.embed(n, n, self.w_coords, self.w_coords)
         verify(is_automorphism(self.algebra, full),
                "assembled map is not an automorphism", check="automorphism")
@@ -421,41 +436,13 @@ def compose_decomposable(l: AlmostAbelianAlgebra, kind: str) -> CompositeSpace:
     """Aut/Der description of a decomposable L = L0 + W (w_dim >= 1)."""
     if kind not in ("aut", "der"):
         raise ValueError("kind must be 'aut' or 'der'")
-    l0_aleph, w_dim = decompose(l)
-    if w_dim < 1:
+    l0_aleph, core, w, corners = _split(l)
+    if not w:
         raise ValueError("algebra is indecomposable; use aut/der directly")
-    if l0_aleph.is_zero:
-        raise ZeroMultiplicityFunction(
-            "Abelian algebra: not almost Abelian, no structure to compose"
-        )
     l0 = AlmostAbelianAlgebra(l0_aleph, l.convention)
-    if l0.is_heisenberg:
-        raise HeisenbergDeferred()
-    xp = x_irreducible()
-    w_coords = _coords(l, lambda x: x.p == xp and x.n == 1)
-    l0_coords = [0] + _coords(l, lambda x: x.p != xp or x.n > 1)
-    n = l.dimension
-
-    # phi01: W -> Z(L0)
-    centre_coords = _coords(l, lambda x: x.p == xp and x.n > 1 and x.m == 1)
-    phi01 = tuple(
-        _unit_matrix(n, z, w) for w in w_coords for z in centre_coords
-    )
-    # phi10: L0 -> W vanishing on (L0)_(1) = JV0 (the brackets of L0)
-    cokernel_coords = [0] + _coords(l, lambda x: x.p == xp and x.n > 1 and x.m == x.n)
-    phi10 = tuple(
-        _unit_matrix(n, w, c) for w in w_coords for c in cokernel_coords
-    )
-    phi11 = tuple(
-        _unit_matrix(n, wi, wj) for wi in w_coords for wj in w_coords
-    )
-    if kind == "aut":
-        l0_space: object = automorphism_space(l0)
-    else:
-        l0_space = derivation_space(l0)
+    l0_space = automorphism_space(l0) if kind == "aut" else derivation_space(l0)
     return CompositeSpace(
-        l, kind, l0, l0_space, phi01, phi10, phi11,
-        tuple(l0_coords), tuple(w_coords),
+        l, kind, l0, l0_space, *corners, tuple([0] + core), tuple(w)
     )
 
 

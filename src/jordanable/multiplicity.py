@@ -57,6 +57,11 @@ class MultiplicityFunction:
                 seen.append(p)
         return seen
 
+    @property
+    def supported_on_x(self) -> bool:
+        """supp within {X}: the function of a nilpotent operator."""
+        return all(p == x_irreducible() for p in self.supp)
+
     def __eq__(self, other) -> bool:
         return isinstance(other, MultiplicityFunction) and self.entries == other.entries
 
@@ -172,8 +177,7 @@ def dilation_symmetries(a: MultiplicityFunction) -> DilationGroup:
     """All scalars lam with lam*a = a."""
     if a.is_zero:
         raise ZeroMultiplicityFunction("dilation symmetries of the zero function")
-    supp = a.supp
-    if all(p == x_irreducible() for p in supp):
+    if a.supported_on_x:
         return DilationGroup(all_scalars=True)
     found = [lam for lam in _candidate_dilations(a, a) if star_aleph(lam, a) == a]
     if Fraction(1) not in found:
@@ -187,9 +191,7 @@ def projectively_equal(
     """A witness lam with lam*a1 = a2, or None when the orbits differ."""
     if a1.dim != a2.dim:
         return None
-    only_x1 = all(p == x_irreducible() for p in a1.supp)
-    only_x2 = all(p == x_irreducible() for p in a2.supp)
-    if only_x1 or only_x2:
+    if a1.supported_on_x or a2.supported_on_x:
         return Fraction(1) if a1 == a2 else None
     # prefer the smallest-magnitude positive witness for determinism
     for lam in sorted(_candidate_dilations(a1, a2), key=lambda x: (abs(x), x < 0)):

@@ -17,7 +17,7 @@ from .field import Matrix, _frac, invert, row_reduce, solve_linear
 from .jordan import canonical_form
 from .equations import SolutionSpace
 from .multiplicity import MultiplicityFunction
-from .spectrum import Convention, EPS1, IrreduciblePoly, parse_poly
+from .spectrum import EPS1, IrreduciblePoly, parse_poly
 
 DEFAULT_CAP = 400
 
@@ -178,10 +178,9 @@ def random_unimodular(rng: random.Random, n: int, ops: int) -> Matrix:
     return Matrix.from_rows(rows)
 
 
-def random_instance(
-    seed: int, profile: Profile = DEFAULT_PROFILE, conv: Convention = EPS1
-):
-    """Deterministic (aleph, J, S, T = S^-1 J S) fixture for a seed."""
+def random_instance(seed: int, profile: Profile = DEFAULT_PROFILE):
+    """Deterministic (aleph, J, S, T = S^-1 J S) fixture for a seed, J in
+    the eps = 1 convention."""
     rng = random.Random(seed)
     pool = [IrreduciblePoly.check(parse_poly(s)) for s in profile.pool]
     entries = []
@@ -198,7 +197,7 @@ def random_instance(
         if dim == profile.max_dim:
             break
     a = MultiplicityFunction(entries)
-    j = canonical_form(a, conv)
+    j = canonical_form(a, EPS1)
     s = random_unimodular(rng, j.dim, profile.ops)
     t = invert(s) * j.matrix * s
     return a, j, s, t

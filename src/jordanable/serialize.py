@@ -134,9 +134,13 @@ def invariant_spec_from_json(data) -> InvariantSubspaceSpec:
 
 
 def subspace_from_json(data) -> list[tuple]:
-    """Spanning vectors, given as a JSON array or as {"basis": array}."""
+    """Spanning vectors of one length, given as a JSON array or as
+    {"basis": array}."""
     vectors = data["basis"] if isinstance(data, dict) else data
-    return [vector_from_json(v) for v in list_from_json(vectors, "a subspace basis")]
+    out = [vector_from_json(v) for v in list_from_json(vectors, "a subspace basis")]
+    if len({len(v) for v in out}) > 1:
+        raise ValueError("subspace vectors must all have the same length")
+    return out
 
 
 def solution_space_to_json(space) -> dict:

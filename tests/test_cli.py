@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -28,6 +29,32 @@ BIANCHI = [
     {"p": [-1, 1], "n": 1, "mult": 1},
     {"p": [1, 1], "n": 1, "mult": 1},
 ]
+
+
+def entry(p, n, mult=1):
+    return {"p": p, "n": n, "mult": mult}
+
+
+# `lie der` on decomposable algebras whose W = (X,1) blocks sit next to X
+# chains, real blocks and rotation pairs, and on indecomposable and
+# nilpotent ones; the pinned answers are golden_lie_der.json, per epsilon
+DER_ALGEBRAS = {
+    "cubic-chain+W": [entry([-2, 0, 0, 1], 2), entry([0, 1], 1)],
+    "x-chains+2W": [entry([0, 1], 2), entry([0, 1], 3), entry([0, 1], 1, 2)],
+    "real-blocks+W": [entry([-1, 1], 1), entry([1, 1], 2), entry([0, 1], 1)],
+    "rotation-pair+W": [entry([2, 2, 1], 1), entry([5, 2, 1], 1), entry([0, 1], 1)],
+    "rotation-chain+x-chain+W": [
+        entry([2, 2, 1], 2), entry([0, 1], 2), entry([0, 1], 1)
+    ],
+    "mixed+2W": [entry([0, 1], 2), entry([-1, 1], 1), entry([0, 1], 1, 2)],
+    "bianchi": BIANCHI,
+    "rotation-chain": [entry([2, 2, 1], 2), entry([-2, 1], 1)],
+    "nilpotent-chain": [entry([0, 1], 3)],
+    "nilpotent-chains": [entry([0, 1], 2, 2), entry([0, 1], 3)],
+}
+DER_GOLDEN = json.loads(
+    (Path(__file__).parent / "golden_lie_der.json").read_text(encoding="utf-8")
+)
 
 
 class TestParser:
@@ -109,6 +136,15 @@ class TestLieVerbs:
         code, out = run(capsys, ["lie", "der", "--aleph", a])
         assert code == 0
         assert json.loads(out)["dim"] == 4
+
+    @pytest.mark.parametrize("case", sorted(DER_GOLDEN))
+    def test_der_golden(self, tmp_path, capsys, case):
+        name, eps = case.split("/eps")
+        a = write(tmp_path, "a.json", DER_ALGEBRAS[name])
+        code, out = run(capsys, ["lie", "der", "--aleph", a, "--epsilon", eps])
+        want = DER_GOLDEN[case]
+        assert code == want["exit"]
+        assert out == json.dumps(want["stdout"], separators=(",", ":"))
 
     def test_heisenberg_exit_2(self, tmp_path, capsys):
         a = write(tmp_path, "a.json", [{"p": [0, 1], "n": 2, "mult": 1}])
@@ -364,8 +400,13 @@ class TestErrorPaths:
              {"beth": BIANCHI[:1], "mu": [1]}, "a mu entry must be a JSON object, got 1"),
             (["invsub", "check", "{m}", "{f}"], {"basis": 5},
              "a subspace basis must be a JSON array, got 5"),
+            (["invsub", "check", "{m}", "{f}"], [[1, 0], [0]],
+             "subspace vectors must all have the same length"),
+            (["invsub", "check", "{m}", "{f}"], [[1], [0, 1]],
+             "subspace vectors must all have the same length"),
         ],
-        ids=["oracle-spec-list", "make-spec-list", "make-mu-int", "check-basis-int"],
+        ids=["oracle-spec-list", "make-spec-list", "make-mu-int", "check-basis-int",
+             "check-ragged-short-last", "check-ragged-short-first"],
     )
     def test_wrong_shape_exit_1(self, tmp_path, capsys, argv, data, message):
         paths = {

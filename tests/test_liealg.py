@@ -222,6 +222,21 @@ class TestDerivations:
         for d in derivation_space(cubic).basis:
             assert is_derivation(cubic, d)
 
+    def test_decomposable_built_in_own_coordinates(self, cubic, monkeypatch):
+        """One check per basis element and no second canonical form for L0."""
+        import jordanable.liealg as liealg_mod
+
+        checked, forms = [], []
+        check, form = liealg_mod.is_derivation, liealg_mod.canonical_form
+        monkeypatch.setattr(
+            liealg_mod, "is_derivation", lambda l, d: checked.append(d) or check(l, d)
+        )
+        monkeypatch.setattr(
+            liealg_mod, "canonical_form", lambda *args: forms.append(args) or form(*args)
+        )
+        d = derivation_space(cubic)
+        assert (d.dim, len(checked), len(forms)) == (14, 14, 0)
+
 
 def same_dim_as_oracle(l, space):
     want = brute_solve(EquationSpec.derivation(l))
