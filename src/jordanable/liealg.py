@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .errors import (
     DecomposableUnsupported,
@@ -147,14 +147,23 @@ def decompose(l: AlmostAbelianAlgebra) -> tuple[MultiplicityFunction, int]:
     return l0, l.aleph(x_irreducible(), 1)
 
 
-def _split(l: AlmostAbelianAlgebra) -> tuple[MultiplicityFunction, list, list, tuple]:
+class _Split(NamedTuple):
+    l0: MultiplicityFunction
+    core: list
+    blocks: list
+    w: list
+    corners: tuple
+
+
+def _split(l: AlmostAbelianAlgebra) -> _Split:
     """L = L0 + W in L's own coordinates.
 
-    Returns aleph(L0), the V coordinates of L0 and of W, and the unit
-    bases of the three corner maps (phi01, phi10, phi11): phi01 sends W
-    into Z(L0), phi10 sends L0 to W and kills (L0)_(1) = J V0 (the
-    brackets of L0), phi11 acts on W.  Without W the corners are empty;
-    with W, L0 must be neither Abelian nor Heisenberg.
+    Returns aleph(L0), the V coordinates and the Jordan blocks of L0, the
+    V coordinates of W, and the unit bases of the three corner maps
+    (phi01, phi10, phi11): phi01 sends W into Z(L0), phi10 sends L0 to W
+    and kills (L0)_(1) = J V0 (the brackets of L0), phi11 acts on W.
+    Without W the corners are empty; with W, L0 must be neither Abelian
+    nor Heisenberg.
     """
     l0, w_dim = decompose(l)
     if w_dim and l0.is_zero:
@@ -173,7 +182,9 @@ def _split(l: AlmostAbelianAlgebra) -> tuple[MultiplicityFunction, list, list, t
         tuple(_unit_matrix(n, c, k) for c in w for k in coker0),
         tuple(_unit_matrix(n, ci, cj) for ci in w for cj in w),
     )
-    return l0, _coords(l, lambda x: not _in_w(x.p, x.n)), w, corners
+    core = _coords(l, lambda x: not _in_w(x.p, x.n))
+    blocks = [b for b in l.form.blocks if not _in_w(b.p, b.n)]
+    return _Split(l0, core, blocks, w, corners)
 
 
 def classify_iso(
@@ -370,37 +381,35 @@ def derivation_space(l: AlmostAbelianAlgebra) -> SolutionSpace:
     """
     if l.is_heisenberg:
         raise HeisenbergDeferred()
-    _l0, core, _w, corners = _split(l)
+    s = _split(l)
     n = l.dimension
     v = range(1, n)  # the V coordinates: V -> V maps extend by zero on e0
-    basis = [_unit_matrix(n, i, 0) for i in core]
-    blocks = [b for b in l.form.blocks if not _in_w(b.p, b.n)]
+    basis = [_unit_matrix(n, i, 0) for i in s.core]
     basis.extend(
         r.embed(n, n, v, v)
-        for r in _paired_intertwiners(blocks, l.convention, lambda p: p, l.form.dim)
+        for r in _paired_intertwiners(s.blocks, l.convention, lambda p: p, l.form.dim)
     )
     if is_nilpotent(l):
         basis.append(u_aleph(l.aleph).embed(n, n, v, v) + _unit_matrix(n, 0, 0))
-    basis.extend(m for corner in corners for m in corner)
+    basis.extend(m for corner in s.corners for m in corner)
     _verify_derivations(l, basis)
     return SolutionSpace((n, n), tuple(basis))
 
 
 @dataclass(frozen=True)
 class CompositeSpace:
-    """Aut/Der of L0 for a decomposable L = L0 + W, with the corner maps.
+    """Aut of a decomposable L = L0 + W: Aut(L0) plus the corner maps.
 
     The inner description covers phi00 on L0; the unit bases list the
     admissible corner maps: phi01 sends W into Z(L0), phi10 kills
-    (L0)_(1), phi11 acts on W (invertible for automorphisms).  The corner
-    bases are full L-coordinate matrices; Der(L) itself, as one basis,
-    is `derivation_space(L)`.
+    (L0)_(1), phi11 acts on W (invertible).  The corner bases are full
+    L-coordinate matrices.  Der(L), as one basis in the same
+    coordinates, is `derivation_space(L)`.
     """
 
     algebra: AlmostAbelianAlgebra
-    kind: str  # "aut" or "der"
     l0_algebra: AlmostAbelianAlgebra
-    l0_space: object  # AutomorphismSpace or SolutionSpace
+    l0_space: AutomorphismSpace
     phi01_basis: tuple
     phi10_basis: tuple
     phi11_basis: tuple
@@ -416,8 +425,6 @@ class CompositeSpace:
         W -> W block.  No phi01 is taken: the assembled map always has
         phi01 = 0.
         """
-        if self.kind != "aut":
-            raise ValueError("assemble_automorphism needs kind 'aut'")
         n = self.algebra.dimension
         phi00 = self.l0_space.assemble(nu, delta, gamma)
         full = phi00.embed(n, n, self.l0_coords, self.l0_coords)
@@ -433,16 +440,15 @@ class CompositeSpace:
 
 
 def compose_decomposable(l: AlmostAbelianAlgebra, kind: str) -> CompositeSpace:
-    """Aut/Der description of a decomposable L = L0 + W (w_dim >= 1)."""
-    if kind not in ("aut", "der"):
-        raise ValueError("kind must be 'aut' or 'der'")
-    l0_aleph, core, w, corners = _split(l)
-    if not w:
+    """Aut description of a decomposable L = L0 + W (w_dim >= 1); kind is "aut"."""
+    if kind != "aut":
+        raise ValueError("kind must be 'aut'; Der(L) is derivation_space(L)")
+    s = _split(l)
+    if not s.w:
         raise ValueError("algebra is indecomposable; use aut/der directly")
-    l0 = AlmostAbelianAlgebra(l0_aleph, l.convention)
-    l0_space = automorphism_space(l0) if kind == "aut" else derivation_space(l0)
+    l0 = AlmostAbelianAlgebra(s.l0, l.convention)
     return CompositeSpace(
-        l, kind, l0, l0_space, *corners, tuple([0] + core), tuple(w)
+        l, l0, automorphism_space(l0), *s.corners, tuple([0] + s.core), tuple(s.w)
     )
 
 

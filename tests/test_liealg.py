@@ -264,12 +264,21 @@ class TestComposeDecomposable:
     def test_abelian_rejected(self):
         l = AlmostAbelianAlgebra(aleph((irr("X"), 1, 2)))
         with pytest.raises(ZeroMultiplicityFunction):
-            compose_decomposable(l, "der")
+            derivation_space(l)
+        with pytest.raises(ZeroMultiplicityFunction):
+            compose_decomposable(l, "aut")
 
     def test_heisenberg_core_rejected(self):
         l = AlmostAbelianAlgebra(aleph((irr("X"), 2, 1), (irr("X"), 1, 1)))
+        assert not l.is_heisenberg  # h3 + F: the rejection comes from the split
         with pytest.raises(HeisenbergDeferred):
-            compose_decomposable(l, "der")
+            derivation_space(l)
+        with pytest.raises(HeisenbergDeferred):
+            compose_decomposable(l, "aut")
+
+    def test_der_kind_rejected(self, cubic):
+        with pytest.raises(ValueError):
+            compose_decomposable(cubic, "der")
 
     def test_indecomposable_rejected(self, bianchi):
         with pytest.raises(ValueError):
