@@ -2,8 +2,10 @@
 
 Shows the 7x7 canonical form with its block partition, the invariant
 subspaces of each type, the split into an indecomposable core plus a
-one-dimensional Abelian factor, the composed Aut data, Der and the
-Casimirs.
+one-dimensional Abelian factor, Aut(L) read as the core's automorphisms
+plus corner maps, Der and the Casimirs.  Aut(L) is one space in L's own
+coordinates; the corner maps L0 -> W kill the brackets L_(1), so there
+are w_dim * dim(L0 / L_(1)) of them.
 """
 
 from fractions import Fraction
@@ -13,11 +15,11 @@ from jordanable import (
     InvariantSubspaceSpec,
     Matrix,
     aleph,
+    automorphism_space,
     canonical_form,
     casimir_basis,
     centre,
     check_invariant_and_restrict,
-    compose_decomposable,
     decompose,
     derivation_space,
     invariant_subspace_from,
@@ -67,14 +69,14 @@ def main():
         print(f"  {name}: dim {len(w)}, restriction has aleph {restricted}")
     print()
 
-    comp = compose_decomposable(l, "aut")
+    aut = automorphism_space(l)
+    l0_quotient = l.dimension - w_dim - len(lower_central_series(l, 1))
     print("composed automorphisms: phi00 from Aut(L0) "
-          f"(Dil = {comp.l0_space.dil.elements}), "
-          f"{len(comp.phi10_basis)} corner map(s) L0 -> W, "
+          f"(Dil = {aut.dil.elements}), "
+          f"{w_dim * l0_quotient} corner map(s) L0 -> W, "
           f"invertible scalar on W")
-    phi = comp.assemble_automorphism(
-        1, Matrix.identity(6), [0] * 6, [Fraction(3)], _m([[2]])
-    )
+    delta = Matrix.block_diag([Matrix.identity(6), _m([[2]])])
+    phi = aut.assemble(1, delta, [0] * 6 + [Fraction(3)])
     print("one assembled 8x8 automorphism:")
     print(pretty_matrix(phi, [1, 7]))
     print()

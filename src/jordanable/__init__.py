@@ -3,7 +3,6 @@ Lie algebra structure data over the rationals."""
 
 from .errors import (
     ConventionError,
-    DecomposableUnsupported,
     DomainError,
     HeisenbergDeferred,
     OracleCapExceeded,
@@ -72,7 +71,6 @@ from .liealg import (
     AlmostAbelianAlgebra,
     AutomorphismSpace,
     CasimirElement,
-    CompositeSpace,
     automorphism_space,
     bracket,
     casimir_basis,

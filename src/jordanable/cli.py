@@ -24,19 +24,26 @@ from .jordan import (
     multiplicity_of,
     similarity_transform,
 )
+from .field import Matrix
 from .liealg import (
     AlmostAbelianAlgebra,
+    AutomorphismSpace,
+    _split,
     automorphism_space,
     casimir_basis,
     centre,
     classify_iso,
-    compose_decomposable,
     decompose,
     derivation_space,
     is_nilpotent,
     lower_central_series,
 )
-from .equations import solve_inhom_comm, solve_lambda_comm, solve_transpose_pair
+from .equations import (
+    SolutionSpace,
+    solve_inhom_comm,
+    solve_lambda_comm,
+    solve_transpose_pair,
+)
 from .oracle import DEFAULT_PROFILE, EquationSpec, brute_solve, random_instance
 from .spectrum import Convention
 
@@ -122,21 +129,36 @@ def _cmd_solve(args) -> int:
     return _emit(ser.solution_space_to_json(space))
 
 
-def _aut_description(l: AlmostAbelianAlgebra) -> dict:
-    aut = automorphism_space(l)
+def _aut_description(aut: AutomorphismSpace, core: list[int]) -> dict:
+    """Dil, gamma_dim and the Delta families of aut on the V coordinates core.
+
+    core is all of V unless L = L0 + W; then it is L0's part, and each
+    family keeps the delta_space(nu) basis elements supported on L0 x L0,
+    restricted there.
+    """
+    v = [c - 1 for c in core]
     out = {
         "dil": {
             "all_scalars": aut.dil.all_scalars,
             "elements": [str(x) for x in aut.dil.elements],
         },
-        "gamma_dim": aut.gamma_dim,
+        "gamma_dim": len(v),
     }
     if not aut.dil.all_scalars:
         out["families"] = [
-            {"nu": str(nu), "delta": ser.solution_space_to_json(space)}
+            {"nu": str(nu), "delta": ser.solution_space_to_json(_restricted(space, v))}
             for nu, space in aut.families
         ]
     return out
+
+
+def _restricted(space: SolutionSpace, v: list[int]) -> SolutionSpace:
+    basis = []
+    for m in space.basis:
+        r = Matrix.from_rows([[m[i, j] for j in v] for i in v])
+        if r.embed(m.rows, m.cols, v, v) == m:
+            basis.append(r)
+    return SolutionSpace((len(v), len(v)), tuple(basis))
 
 
 def _cmd_lie(args) -> int:
@@ -158,17 +180,19 @@ def _cmd_lie(args) -> int:
             {"l0": ser.aleph_to_json(l0), "display": str(l0), "w_dim": w_dim}
         )
     if args.op == "aut":
-        _, w_dim = decompose(l)
-        if w_dim == 0:
-            return _emit(_aut_description(l))
-        comp = compose_decomposable(l, "aut")
+        aut = automorphism_space(l)
+        s = _split(l)
+        out = _aut_description(aut, s.core)
+        if not s.w:
+            return _emit(out)
+        w_dim = len(s.w)
         return _emit(
             {
                 "composite": True,
                 "w_dim": w_dim,
-                "l0": _aut_description(comp.l0_algebra),
-                "phi01_dim": len(comp.phi01_basis),
-                "phi10_dim": len(comp.phi10_basis),
+                "l0": out,
+                "phi01_dim": len(s.corners[0]),
+                "phi10_dim": len(s.corners[1]),
                 "phi11": {"shape": [w_dim, w_dim], "constraint": "invertible"},
             }
         )

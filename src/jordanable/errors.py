@@ -47,12 +47,6 @@ class HeisenbergDeferred(DomainError):
         )
 
 
-class DecomposableUnsupported(DomainError):
-    """Aut of a decomposable algebra must go through compose_decomposable."""
-
-    code = "decomposable-unsupported"
-
-
 class ZeroMultiplicityFunction(DomainError):
     """An operation that assumes a non-Abelian algebra got the zero function."""
 

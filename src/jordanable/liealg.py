@@ -12,7 +12,6 @@ from fractions import Fraction
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .errors import (
-    DecomposableUnsupported,
     HeisenbergDeferred,
     VerificationFailed,
     ZeroMultiplicityFunction,
@@ -148,7 +147,6 @@ def decompose(l: AlmostAbelianAlgebra) -> tuple[MultiplicityFunction, int]:
 
 
 class _Split(NamedTuple):
-    l0: MultiplicityFunction
     core: list
     blocks: list
     w: list
@@ -158,12 +156,12 @@ class _Split(NamedTuple):
 def _split(l: AlmostAbelianAlgebra) -> _Split:
     """L = L0 + W in L's own coordinates.
 
-    Returns aleph(L0), the V coordinates and the Jordan blocks of L0, the
-    V coordinates of W, and the unit bases of the three corner maps
+    Returns the V coordinates and the Jordan blocks of L0, the V
+    coordinates of W, and the unit bases of the three corner maps
     (phi01, phi10, phi11): phi01 sends W into Z(L0), phi10 sends L0 to W
     and kills (L0)_(1) = J V0 (the brackets of L0), phi11 acts on W.
     Without W the corners are empty; with W, L0 must be neither Abelian
-    nor Heisenberg.
+    nor Heisenberg, which is where Der(L) and Aut(L) reject both.
     """
     l0, w_dim = decompose(l)
     if w_dim and l0.is_zero:
@@ -184,7 +182,7 @@ def _split(l: AlmostAbelianAlgebra) -> _Split:
     )
     core = _coords(l, lambda x: not _in_w(x.p, x.n))
     blocks = [b for b in l.form.blocks if not _in_w(b.p, b.n)]
-    return _Split(l0, core, blocks, w, corners)
+    return _Split(core, blocks, w, corners)
 
 
 def classify_iso(
@@ -241,12 +239,16 @@ def _block_permutation(
 
 @dataclass(frozen=True)
 class AutomorphismSpace:
-    """Aut(L) for indecomposable non-Heisenberg L.
+    """Aut(L) in L's own coordinates, for L neither Abelian nor Heisenberg.
 
-    An automorphism is (nu 0; gamma Delta) with nu in Dil(aleph), gamma
-    free in V and Delta an invertible nu-intertwiner; for each nu the
-    Delta candidates form the linear space delta_space(nu), with
-    invertibility left as a rank predicate.
+    V is then the unique codimension-1 Abelian ideal, so an automorphism
+    is (nu 0; gamma Delta) with nu in Dil(aleph), gamma free in V and
+    Delta an invertible nu-intertwiner, Delta J = nu J Delta, on all of V;
+    for each nu the Delta candidates form the linear space
+    delta_space(nu), with invertibility left as a rank predicate.  With
+    L = L0 + W (W the (X,1) blocks) the corner maps phi01: W -> Z(L0),
+    phi10: L0 -> W and phi11: W -> W are blocks of Delta, except that
+    phi10 on e0 is the W part of gamma.
     """
 
     algebra: AlmostAbelianAlgebra
@@ -254,10 +256,13 @@ class AutomorphismSpace:
     gamma_dim: int
 
     def delta_space(self, nu) -> SolutionSpace:
+        return solve_lambda_comm(self.algebra.form, self._dilation(nu))
+
+    def _dilation(self, nu) -> Fraction:
         nu = _frac(nu)
         if nu not in self.dil:
             raise ValueError(f"{nu} is not in Dil(aleph)")
-        return solve_lambda_comm(self.algebra.form, nu)
+        return nu
 
     @property
     def families(self) -> list[tuple[Fraction, SolutionSpace]]:
@@ -271,10 +276,11 @@ class AutomorphismSpace:
 
     def assemble(self, nu, delta: Matrix, gamma: Sequence) -> Matrix:
         """The full automorphism matrix (nu 0; gamma Delta), validated."""
-        nu = _frac(nu)
+        nu = self._dilation(nu)
         if not self.is_invertible(delta):
             raise ValueError("Delta must be invertible")
-        if not self.delta_space(nu).contains(delta):
+        j = self.algebra.form.matrix
+        if delta.rows != j.rows or delta * j != (j * delta).scale(nu):
             raise ValueError("Delta is not a nu-intertwiner")
         n = self.algebra.dimension
         rows = [[nu] + [Fraction(0)] * (n - 1)]
@@ -287,11 +293,14 @@ class AutomorphismSpace:
 
 
 def automorphism_space(l: AlmostAbelianAlgebra) -> AutomorphismSpace:
-    """Structured description of Aut(L); L indecomposable, not Heisenberg."""
+    """Aut(L) as one structured description in L's coordinates.
+
+    Every L is accepted, decomposable or not, except the Heisenberg
+    algebra, an Abelian L0 + W and a Heisenberg core plus W.
+    """
     if l.is_heisenberg:
         raise HeisenbergDeferred()
-    if decompose(l)[1] > 0:
-        raise DecomposableUnsupported("decomposable algebra: use compose_decomposable")
+    _split(l)  # rejects an Abelian L0 and a Heisenberg core next to W
     return AutomorphismSpace(l, dilation_symmetries(l.aleph), l.form.dim)
 
 
@@ -396,60 +405,28 @@ def derivation_space(l: AlmostAbelianAlgebra) -> SolutionSpace:
     return SolutionSpace((n, n), tuple(basis))
 
 
-@dataclass(frozen=True)
-class CompositeSpace:
-    """Aut of a decomposable L = L0 + W: Aut(L0) plus the corner maps.
-
-    The inner description covers phi00 on L0; the unit bases list the
-    admissible corner maps: phi01 sends W into Z(L0), phi10 kills
-    (L0)_(1), phi11 acts on W (invertible).  The corner bases are full
-    L-coordinate matrices.  Der(L), as one basis in the same
-    coordinates, is `derivation_space(L)`.
-    """
-
-    algebra: AlmostAbelianAlgebra
-    l0_algebra: AlmostAbelianAlgebra
+class _AutView(NamedTuple):
     l0_space: AutomorphismSpace
     phi01_basis: tuple
     phi10_basis: tuple
     phi11_basis: tuple
-    l0_coords: tuple
-    w_coords: tuple
-
-    def assemble_automorphism(
-        self, nu, delta: Matrix, gamma: Sequence, phi10, phi11: Matrix
-    ) -> Matrix:
-        """Full automorphism from L0 data plus the corner maps, validated.
-
-        phi10 is a coefficient vector over phi10_basis and phi11 the
-        W -> W block.  No phi01 is taken: the assembled map always has
-        phi01 = 0.
-        """
-        n = self.algebra.dimension
-        phi00 = self.l0_space.assemble(nu, delta, gamma)
-        full = phi00.embed(n, n, self.l0_coords, self.l0_coords)
-        for c, b in zip(phi10, self.phi10_basis):
-            full = full + b.scale(_frac(c))
-        w = len(self.w_coords)
-        if matrix_rank(phi11) != w:
-            raise ValueError("phi11 must be invertible")
-        full = full + phi11.embed(n, n, self.w_coords, self.w_coords)
-        verify(is_automorphism(self.algebra, full),
-               "assembled map is not an automorphism", check="automorphism")
-        return full
 
 
-def compose_decomposable(l: AlmostAbelianAlgebra, kind: str) -> CompositeSpace:
-    """Aut description of a decomposable L = L0 + W (w_dim >= 1); kind is "aut"."""
+def compose_decomposable(l: AlmostAbelianAlgebra, kind: str) -> _AutView:
+    """Read-only view of Aut(L) for a decomposable L = L0 + W; kind is "aut".
+
+    l0_space is the one space automorphism_space(L), whose Dil equals
+    Dil(aleph(L0)) because every dilation fixes the (X,1) blocks, and the
+    phi*_basis tuples are the corner unit maps of the split.  The view
+    stays only until a benchmark-only change moves bench/gen.py to
+    automorphism_space.
+    """
     if kind != "aut":
         raise ValueError("kind must be 'aut'; Der(L) is derivation_space(L)")
     s = _split(l)
     if not s.w:
         raise ValueError("algebra is indecomposable; use aut/der directly")
-    l0 = AlmostAbelianAlgebra(s.l0, l.convention)
-    return CompositeSpace(
-        l, l0, automorphism_space(l0), *s.corners, tuple([0] + s.core), tuple(s.w)
-    )
+    return _AutView(automorphism_space(l), *s.corners)
 
 
 @dataclass(frozen=True)

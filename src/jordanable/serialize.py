@@ -75,6 +75,8 @@ def matrix_from_json(data) -> Matrix:
     rows = [vector_from_json(r) for r in data]
     if len({len(r) for r in rows}) != 1:
         raise ValueError("matrix rows must all have the same length")
+    if not rows[0]:
+        raise ValueError("matrix rows must be nonempty")
     return Matrix.from_rows(rows)
 
 

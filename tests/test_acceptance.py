@@ -21,7 +21,6 @@ from jordanable import (
     check_invariant_and_restrict,
     classify_iso,
     companion,
-    compose_decomposable,
     decompose,
     derivation_space,
     dilation_symmetries,
@@ -155,19 +154,18 @@ def test_criterion_2_seven_dim_fixture(cubic_aleph):
         ok = ok and check_invariant_and_restrict(j.matrix, w) == beth
     cas = casimir_basis(l)
     ok = ok and len(cas) == 1 and cas[0].display == "x7^2"
-    # composed Aut: (nu, Delta) on the 6-dim part, gamma, one W -> e0
-    # corner entry and an invertible scalar delta on W
-    comp = compose_decomposable(l, "aut")
-    ok = ok and len(comp.phi01_basis) == 0
-    ok = ok and len(comp.phi10_basis) == 1
-    ok = ok and len(comp.phi11_basis) == 1
-    phi = comp.assemble_automorphism(
-        1, Matrix.identity(6), [0] * 6, [Fraction(3)], mat([[2]])
+    # Aut(L) in L's coordinates: Delta is the 6-dim part's commutant plus an
+    # invertible scalar on W (no phi01, since Z(L0) = 0), and the one
+    # corner map e0 -> W is gamma's W entry
+    aut = automorphism_space(l)
+    ok = ok and aut.dil.elements == (Fraction(1),) and aut.delta_space(1).dim == 7
+    phi = aut.assemble(
+        1, Matrix.block_diag([Matrix.identity(6), mat([[2]])]), [0] * 6 + [Fraction(3)]
     )
     ok = ok and is_automorphism(l, phi) and phi[7, 7] == 2 and phi[7, 0] == 3
     try:
-        comp.assemble_automorphism(1, Matrix.identity(6), [0] * 6, [0], mat([[0]]))
-        ok = False  # delta = 0 must be rejected
+        aut.assemble(1, Matrix.block_diag([Matrix.identity(6), mat([[0]])]), [0] * 7)
+        ok = False  # delta = 0 on W must be rejected
     except ValueError:
         pass
     der = derivation_space(l)

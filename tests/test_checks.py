@@ -47,6 +47,30 @@ def test_no_unused_imports_in_package():
     assert offenders == []
 
 
+def test_every_domain_error_is_raised():
+    """Each DomainError subclass in errors.py is raised elsewhere in the package."""
+    tree = ast.parse((PACKAGE / "errors.py").read_text(encoding="utf-8"))
+    domain = {"DomainError"}
+    for node in tree.body:  # file order, so subclasses of subclasses count too
+        if isinstance(node, ast.ClassDef) and any(
+            isinstance(b, ast.Name) and b.id in domain for b in node.bases
+        ):
+            domain.add(node.name)
+    domain.discard("DomainError")
+    raised = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "errors.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name):
+                    raised.add(exc.id)
+    assert domain
+    assert sorted(domain - raised) == []
+
+
 def test_verify_passes_and_raises():
     verify(True, "unused")
     with pytest.raises(VerificationFailed) as info:

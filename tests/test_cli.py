@@ -35,9 +35,10 @@ def entry(p, n, mult=1):
     return {"p": p, "n": n, "mult": mult}
 
 
-# `lie der` on decomposable algebras whose W = (X,1) blocks sit next to X
-# chains, real blocks and rotation pairs, and on indecomposable and
-# nilpotent ones; the pinned answers are golden_lie_der.json, per epsilon
+# `lie der` and `lie aut` on decomposable algebras whose W = (X,1) blocks
+# sit next to X chains, real blocks and rotation pairs, and on
+# indecomposable and nilpotent ones; the pinned answers are
+# golden_lie_<verb>.json, per epsilon
 DER_ALGEBRAS = {
     "cubic-chain+W": [entry([-2, 0, 0, 1], 2), entry([0, 1], 1)],
     "x-chains+2W": [entry([0, 1], 2), entry([0, 1], 3), entry([0, 1], 1, 2)],
@@ -52,9 +53,12 @@ DER_ALGEBRAS = {
     "nilpotent-chain": [entry([0, 1], 3)],
     "nilpotent-chains": [entry([0, 1], 2, 2), entry([0, 1], 3)],
 }
-DER_GOLDEN = json.loads(
-    (Path(__file__).parent / "golden_lie_der.json").read_text(encoding="utf-8")
-)
+LIE_GOLDEN = {
+    verb: json.loads(
+        (Path(__file__).parent / f"golden_lie_{verb}.json").read_text(encoding="utf-8")
+    )
+    for verb in ("der", "aut")
+}
 
 
 class TestParser:
@@ -137,12 +141,16 @@ class TestLieVerbs:
         assert code == 0
         assert json.loads(out)["dim"] == 4
 
-    @pytest.mark.parametrize("case", sorted(DER_GOLDEN))
-    def test_der_golden(self, tmp_path, capsys, case):
+    @pytest.mark.parametrize("verb, case", [
+        pytest.param(verb, case, id=case if verb == "der" else f"{verb}:{case}")
+        for verb, golden in LIE_GOLDEN.items()
+        for case in sorted(golden)
+    ])
+    def test_der_golden(self, tmp_path, capsys, verb, case):
         name, eps = case.split("/eps")
         a = write(tmp_path, "a.json", DER_ALGEBRAS[name])
-        code, out = run(capsys, ["lie", "der", "--aleph", a, "--epsilon", eps])
-        want = DER_GOLDEN[case]
+        code, out = run(capsys, ["lie", verb, "--aleph", a, "--epsilon", eps])
+        want = LIE_GOLDEN[verb][case]
         assert code == want["exit"]
         assert out == json.dumps(want["stdout"], separators=(",", ":"))
 
@@ -404,9 +412,12 @@ class TestErrorPaths:
              "subspace vectors must all have the same length"),
             (["invsub", "check", "{m}", "{f}"], [[1], [0, 1]],
              "subspace vectors must all have the same length"),
+            (["jordanize", "{f}"], [[]], "matrix rows must be nonempty"),
+            (["classify", "{f}", "{m}"], [[]], "matrix rows must be nonempty"),
         ],
         ids=["oracle-spec-list", "make-spec-list", "make-mu-int", "check-basis-int",
-             "check-ragged-short-last", "check-ragged-short-first"],
+             "check-ragged-short-last", "check-ragged-short-first",
+             "jordanize-empty-row", "classify-empty-row"],
     )
     def test_wrong_shape_exit_1(self, tmp_path, capsys, argv, data, message):
         paths = {

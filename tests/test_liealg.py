@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from jordanable import (
     AlmostAbelianAlgebra,
-    DecomposableUnsupported,
     EPS0,
     HeisenbergDeferred,
     Matrix,
@@ -30,10 +29,24 @@ from jordanable import (
 )
 from jordanable.field import invert
 from jordanable.oracle import EquationSpec, brute_solve, random_unimodular
-from jordanable.spectrum import x_irreducible
+from jordanable.spectrum import Convention, x_irreducible
 from .conftest import irr, mat
 
 small_fracs = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+
+# L = L0 + W with W the (X,1) blocks, as (poly, n, mult) and epsilon; the
+# first three are the decomposable structure shapes of the benchmark
+DECOMPOSABLE = [
+    ([("X", 3, 1), ("X", 1, 1)], 1),
+    ([("X - 1", 1, 1), ("X + 2", 1, 1), ("X", 1, 1)], 1),
+    ([("X", 2, 2), ("X", 1, 1)], 1),
+    ([("X - 1", 1, 1), ("X", 2, 1), ("X", 1, 1)], 1),
+    ([("X^3 - 2", 2, 1), ("X", 1, 1)], 1),
+    ([("X", 3, 1), ("X", 1, 2)], 1),
+    ([("X^2 + 2*X + 2", 2, 1), ("X", 2, 1), ("X", 1, 1)], 0),
+    ([("X^2 + 2", 1, 1), ("X", 1, 1)], 1),
+    ([("X - 1", 1, 1), ("X + 1", 1, 1), ("X", 1, 1)], 1),
+]
 
 
 @pytest.fixture
@@ -156,6 +169,8 @@ class TestAutomorphisms:
             space.assemble(1, mat([[0, 1], [1, 0]]), [0, 0])  # wrong family
         with pytest.raises(ValueError):
             space.delta_space(2)  # not a dilation symmetry
+        with pytest.raises(ValueError):
+            space.assemble(2, mat([[1, 0], [0, 1]]), [0, 0])
 
     def test_random_samples_are_automorphisms(self, bianchi):
         import random
@@ -184,9 +199,77 @@ class TestAutomorphisms:
         with pytest.raises(HeisenbergDeferred):
             automorphism_space(AlmostAbelianAlgebra(aleph((irr("X"), 2, 1))))
 
-    def test_decomposable_rejected(self, cubic):
-        with pytest.raises(DecomposableUnsupported):
-            automorphism_space(cubic)
+    def test_decomposable_one_space(self, cubic):
+        space = automorphism_space(cubic)
+        assert space.dil.elements == (Fraction(1),)
+        assert space.gamma_dim == 7
+        # Delta(1): the commutant of the (X^3 - 2)^2 part plus W -> W
+        assert space.delta_space(1).dim == 7
+
+    def test_phi01_corner_assembles(self):
+        """identity + (W -> Z(L0)) is an automorphism with phi01 != 0."""
+        l = AlmostAbelianAlgebra(
+            aleph((irr("X - 1"), 1, 1), (irr("X"), 2, 1), (irr("X"), 1, 1))
+        )
+        xp = x_irreducible()
+        z = next(i for i, x in enumerate(l.form.index) if x.p == xp and x.n == 2
+                 and x.m == 1)
+        w = next(i for i, x in enumerate(l.form.index) if x.p == xp and x.n == 1)
+        n = l.form.dim
+        delta = Matrix.identity(n) + Matrix.identity(1).embed(n, n, [z], [w])
+        phi = automorphism_space(l).assemble(1, delta, [0] * n)
+        assert is_automorphism(l, phi)
+        assert phi[1 + z, 1 + w] == 1
+
+    @pytest.mark.parametrize("blocks, eps", DECOMPOSABLE, ids=[
+        "+".join(f"{m}x({p})^{n}" for p, n, m in blocks) + f"/eps{eps}"
+        for blocks, eps in DECOMPOSABLE
+    ])
+    def test_decomposable_deltas_match_oracle(self, blocks, eps):
+        l = AlmostAbelianAlgebra(
+            aleph(*((irr(p), n, m) for p, n, m in blocks)), Convention(eps)
+        )
+        space = automorphism_space(l)
+        nus = ((Fraction(1), Fraction(-1), Fraction(2)) if space.dil.all_scalars
+               else space.dil.elements)
+        for nu in nus:
+            got = space.delta_space(nu)
+            want = brute_solve(EquationSpec.lambda_comm(l.form.matrix, nu))
+            assert got.dim == want.dim
+            assert all(want.contains(b) for b in got.basis)
+            assert all(got.contains(b) for b in want.basis)
+
+    def test_abelian_and_heisenberg_core_rejected(self):
+        with pytest.raises(ZeroMultiplicityFunction):
+            automorphism_space(AlmostAbelianAlgebra(aleph((irr("X"), 1, 2))))
+        with pytest.raises(HeisenbergDeferred):
+            automorphism_space(
+                AlmostAbelianAlgebra(aleph((irr("X"), 2, 1), (irr("X"), 1, 1)))
+            )
+
+    def test_no_second_canonical_form(self, cubic, monkeypatch, tmp_path, capsys):
+        """Aut(L) reads everything off L's own form: the library calls build
+        no canonical form, and `lie aut` builds only L's."""
+        import json
+
+        import jordanable.liealg as liealg_mod
+        from jordanable.cli import main
+
+        forms = []
+        form = liealg_mod.canonical_form
+        monkeypatch.setattr(
+            liealg_mod, "canonical_form", lambda *args: forms.append(args) or form(*args)
+        )
+        automorphism_space(cubic).families
+        compose_decomposable(cubic, "aut")
+        assert forms == []
+        path = tmp_path / "a.json"
+        path.write_text(json.dumps([
+            {"p": [-2, 0, 0, 1], "n": 2, "mult": 1}, {"p": [0, 1], "n": 1, "mult": 1}
+        ]))
+        assert main(["lie", "aut", "--aleph", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["composite"]
+        assert len(forms) == 1
 
 
 class TestDerivations:
@@ -253,9 +336,8 @@ class TestComposeDecomposable:
         assert len(comp.phi11_basis) == 1
 
     def test_assemble_automorphism(self, cubic):
-        comp = compose_decomposable(cubic, "aut")
-        phi = comp.assemble_automorphism(
-            1, Matrix.identity(6), [0] * 6, [Fraction(2)], mat([[3]])
+        phi = automorphism_space(cubic).assemble(
+            1, Matrix.block_diag([Matrix.identity(6), mat([[3]])]), [0] * 6 + [Fraction(2)]
         )
         assert is_automorphism(cubic, phi)
         assert phi[7, 7] == 3
