@@ -28,7 +28,6 @@ from .field import Matrix
 from .liealg import (
     AlmostAbelianAlgebra,
     AutomorphismSpace,
-    _split,
     automorphism_space,
     casimir_basis,
     centre,
@@ -181,7 +180,7 @@ def _cmd_lie(args) -> int:
         )
     if args.op == "aut":
         aut = automorphism_space(l)
-        s = _split(l)
+        s = aut.split
         out = _aut_description(aut, s.core)
         if not s.w:
             return _emit(out)

@@ -37,7 +37,8 @@ class ConventionError(DomainError):
 
 
 class HeisenbergDeferred(DomainError):
-    """Aut/Der of the Heisenberg algebra are intentionally not computed here."""
+    """Aut/Der are not computed for an algebra whose core L0 is the
+    Heisenberg algebra: the Heisenberg algebra itself, or it plus W."""
 
     code = "heisenberg-deferred"
 

@@ -150,28 +150,32 @@ class Polynomial:
         return f"Polynomial({self})"
 
     def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
-        parts = []
-        for k in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[k]
-            if c == 0:
-                continue
-            if k == 0:
-                term = str(c)
-            else:
-                xk = "X" if k == 1 else f"X^{k}"
-                if c == 1:
-                    term = xk
-                elif c == -1:
-                    term = f"-{xk}"
-                else:
-                    term = f"{c}*{xk}"
-            parts.append(term)
-        out = parts[0]
-        for term in parts[1:]:
-            out += f" - {term[1:]}" if term.startswith("-") else f" + {term}"
-        return out
+        return format_terms(
+            (self.coeffs[k], "X" if k == 1 else f"X^{k}" if k else "")
+            for k in range(len(self.coeffs) - 1, -1, -1)
+        )
+
+
+def format_terms(terms: Iterable[tuple[Fraction, str]]) -> str:
+    """The sum of c*sym over the nonzero c, as text: a +-1 coefficient is
+    dropped (an empty sym is a constant and keeps it), and a negative
+    term is joined with " - "; "0" when every c is zero."""
+    out = ""
+    for c, sym in terms:
+        if not c:
+            continue
+        if not sym:
+            term = str(c)
+        elif c == 1:
+            term = sym
+        elif c == -1:
+            term = "-" + sym
+        else:
+            term = f"{c}*{sym}"
+        if out:
+            term = f" - {term[1:]}" if term.startswith("-") else f" + {term}"
+        out += term
+    return out or "0"
 
 
 def poly_divmod(a: Polynomial, b: Polynomial) -> tuple[Polynomial, Polynomial]:

@@ -368,14 +368,14 @@ def check_invariant_and_restrict(
     With W the basis as columns, span(w) is invariant iff [W | t W] has
     rank k = dim W; the reduced form is then (I R; 0 0) with t W = W R.
     """
+    if t.rows != t.cols:
+        raise ValueError("invariance check of non-square matrix")
     vectors = [list(v) for v in w]
     if not vectors:
         return MultiplicityFunction(())
     if not independent(vectors):
         raise ValueError("dependent spanning set")
     images = [list(t.apply(v)) for v in vectors]
-    if t.rows != t.cols:
-        raise ValueError("right-hand side length mismatch")
     k = len(vectors)
     rank, rref, _, _ = row_reduce(Matrix.column_stack(vectors + images))
     if rank != k:

@@ -20,6 +20,7 @@ from .errors import (
 from .field import (
     Matrix,
     _frac,
+    format_terms,
     independent,
     invert,
     matrix_rank,
@@ -60,10 +61,6 @@ class LabeledVector:
         return f"{name}: {self.vector}"
 
 
-def _heisenberg(a: MultiplicityFunction) -> bool:
-    return a.entries == {(x_irreducible(), 2): 1}
-
-
 def _in_w(p: IrreduciblePoly, n: int) -> bool:
     """W, the Abelian factor that L splits off, is the (X,1) blocks."""
     return p == x_irreducible() and n == 1
@@ -83,10 +80,6 @@ class AlmostAbelianAlgebra:
     @property
     def dimension(self) -> int:
         return 1 + self.form.dim
-
-    @property
-    def is_heisenberg(self) -> bool:
-        return _heisenberg(self.aleph)
 
     def unit(self, coord: int) -> tuple:
         v = [Fraction(0)] * self.dimension
@@ -154,23 +147,24 @@ class _Split(NamedTuple):
 
 
 def _split(l: AlmostAbelianAlgebra) -> _Split:
-    """L = L0 + W in L's own coordinates.
+    """L = L0 + W in L's own coordinates, for the L that Der and Aut support.
 
     Returns the V coordinates and the Jordan blocks of L0, the V
     coordinates of W, and the unit bases of the three corner maps
     (phi01, phi10, phi11): phi01 sends W into Z(L0), phi10 sends L0 to W
     and kills (L0)_(1) = J V0 (the brackets of L0), phi11 acts on W.
-    Without W the corners are empty; with W, L0 must be neither Abelian
-    nor Heisenberg, which is where Der(L) and Aut(L) reject both.
+    Without W the corners are empty.  This is the one place that rejects
+    an unsupported L: a Heisenberg L0 (the Heisenberg algebra itself, or
+    it plus W) and an Abelian L0 (L is all W).
     """
-    l0, w_dim = decompose(l)
-    if w_dim and l0.is_zero:
+    l0 = decompose(l)[0]
+    xp = x_irreducible()
+    if l0.is_zero:
         raise ZeroMultiplicityFunction(
             "Abelian algebra: not almost Abelian, no structure to compose"
         )
-    if w_dim and _heisenberg(l0):
+    if l0.entries == {(xp, 2): 1}:  # L0 is the Heisenberg algebra
         raise HeisenbergDeferred()
-    xp = x_irreducible()
     n = l.dimension
     w = _coords(l, lambda x: _in_w(x.p, x.n))
     centre0 = _coords(l, lambda x: x.p == xp and x.n > 1 and x.m == 1)
@@ -239,7 +233,7 @@ def _block_permutation(
 
 @dataclass(frozen=True)
 class AutomorphismSpace:
-    """Aut(L) in L's own coordinates, for L neither Abelian nor Heisenberg.
+    """Aut(L) in L's own coordinates, for an L that _split supports.
 
     V is then the unique codimension-1 Abelian ideal, so an automorphism
     is (nu 0; gamma Delta) with nu in Dil(aleph), gamma free in V and
@@ -248,12 +242,17 @@ class AutomorphismSpace:
     delta_space(nu), with invertibility left as a rank predicate.  With
     L = L0 + W (W the (X,1) blocks) the corner maps phi01: W -> Z(L0),
     phi10: L0 -> W and phi11: W -> W are blocks of Delta, except that
-    phi10 on e0 is the W part of gamma.
+    phi10 on e0 is the W part of gamma.  split is that L0 + W split, with
+    the corner unit bases, so that no reader of the space splits L again.
     """
 
     algebra: AlmostAbelianAlgebra
     dil: DilationGroup
-    gamma_dim: int
+    split: _Split
+
+    @property
+    def gamma_dim(self) -> int:
+        return self.algebra.form.dim
 
     def delta_space(self, nu) -> SolutionSpace:
         return solve_lambda_comm(self.algebra.form, self._dilation(nu))
@@ -282,6 +281,8 @@ class AutomorphismSpace:
         j = self.algebra.form.matrix
         if delta.rows != j.rows or delta * j != (j * delta).scale(nu):
             raise ValueError("Delta is not a nu-intertwiner")
+        if len(gamma) != self.gamma_dim:
+            raise ValueError(f"gamma must have {self.gamma_dim} entries")
         n = self.algebra.dimension
         rows = [[nu] + [Fraction(0)] * (n - 1)]
         for i in range(n - 1):
@@ -295,13 +296,11 @@ class AutomorphismSpace:
 def automorphism_space(l: AlmostAbelianAlgebra) -> AutomorphismSpace:
     """Aut(L) as one structured description in L's coordinates.
 
-    Every L is accepted, decomposable or not, except the Heisenberg
-    algebra, an Abelian L0 + W and a Heisenberg core plus W.
+    Every L is accepted, decomposable or not, except where _split
+    rejects it: a Heisenberg or Abelian core L0.  L is split once, and
+    the space keeps that split.
     """
-    if l.is_heisenberg:
-        raise HeisenbergDeferred()
-    _split(l)  # rejects an Abelian L0 and a Heisenberg core next to W
-    return AutomorphismSpace(l, dilation_symmetries(l.aleph), l.form.dim)
+    return AutomorphismSpace(l, dilation_symmetries(l.aleph), _split(l))
 
 
 def _unit_matrix(n: int, i: int, j: int) -> Matrix:
@@ -386,10 +385,9 @@ def derivation_space(l: AlmostAbelianAlgebra) -> SolutionSpace:
     Delta a J-intertwiner between two blocks of L0; (alpha 0; 0 alpha U)
     with U = U(aleph) when L is nilpotent; and the corner unit maps
     W -> Z(L0), L0/(L0)_(1) -> W and W -> W.  Each element is checked
-    once as a derivation of L.
+    once as a derivation of L.  L is split once; _split rejects a
+    Heisenberg or Abelian core L0.
     """
-    if l.is_heisenberg:
-        raise HeisenbergDeferred()
     s = _split(l)
     n = l.dimension
     v = range(1, n)  # the V coordinates: V -> V maps extend by zero on e0
@@ -417,16 +415,17 @@ def compose_decomposable(l: AlmostAbelianAlgebra, kind: str) -> _AutView:
 
     l0_space is the one space automorphism_space(L), whose Dil equals
     Dil(aleph(L0)) because every dilation fixes the (X,1) blocks, and the
-    phi*_basis tuples are the corner unit maps of the split.  The view
-    stays only until a benchmark-only change moves bench/gen.py to
-    automorphism_space.
+    phi*_basis tuples are the corner unit maps of the split that space
+    keeps, so L is split once; a Heisenberg or Abelian core L0 is
+    rejected there.  The view stays only until a benchmark-only change
+    moves bench/gen.py to automorphism_space.
     """
     if kind != "aut":
         raise ValueError("kind must be 'aut'; Der(L) is derivation_space(L)")
-    s = _split(l)
-    if not s.w:
+    space = automorphism_space(l)
+    if not space.split.w:
         raise ValueError("algebra is indecomposable; use aut/der directly")
-    return _AutView(automorphism_space(l), *s.corners)
+    return _AutView(space, *space.split.corners)
 
 
 @dataclass(frozen=True)
@@ -437,31 +436,14 @@ class CasimirElement:
 
     @property
     def display(self) -> str:
-        terms = []
-        d = self.matrix.rows
-        for i in range(d):
-            if self.matrix[i, i]:
-                terms.append(_term(self.matrix[i, i], f"x{i + 1}^2"))
-            for j in range(i + 1, d):
-                if self.matrix[i, j]:
-                    terms.append(_term(2 * self.matrix[i, j], f"x{i + 1}*x{j + 1}"))
-        if not terms:
-            return "0"
-        out = terms[0]
-        for t in terms[1:]:
-            out += " - " + t[1:] if t.startswith("-") else " + " + t
-        return out
+        a, d = self.matrix, self.matrix.rows
+        return format_terms(
+            (a[i, i], f"x{i + 1}^2") if i == j else (2 * a[i, j], f"x{i + 1}*x{j + 1}")
+            for i in range(d) for j in range(i, d)
+        )
 
     def __str__(self) -> str:
         return f"Q = {self.display}"
-
-
-def _term(c: Fraction, sym: str) -> str:
-    if c == 1:
-        return sym
-    if c == -1:
-        return "-" + sym
-    return f"{c}*{sym}"
 
 
 def casimir_basis(l: AlmostAbelianAlgebra) -> list[CasimirElement]:

@@ -90,6 +90,9 @@ def _nullspace_solution(m: Matrix, shape: tuple[int, int], rhs=None) -> Optional
 
 def brute_solve(spec: EquationSpec) -> Optional[SolutionSpace]:
     """Exact nullspace (plus particular solution for affine kinds)."""
+    for t in (spec.t1, spec.t2):
+        if t is not None and t.rows != t.cols:
+            raise ValueError(f"{spec.kind} needs square matrices, got {t.rows}x{t.cols}")
     if spec.kind == "intertwine":
         t1, t2 = spec.t1, spec.t2
         n, m = t2.rows, t1.rows

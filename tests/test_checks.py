@@ -71,6 +71,20 @@ def test_every_domain_error_is_raised():
     assert sorted(domain - raised) == []
 
 
+def test_cli_uses_only_public_names():
+    """cli.py imports no _-prefixed name from a jordanable module."""
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    offenders = [
+        f"{node.module}.{alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or node.module.split(".")[0] == "jordanable")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert offenders == []
+
+
 def test_verify_passes_and_raises():
     verify(True, "unused")
     with pytest.raises(VerificationFailed) as info:

@@ -1,6 +1,8 @@
 """Command-line interface: golden outputs and exit codes."""
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -9,6 +11,7 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import jordanable
 from jordanable.cli import main
@@ -414,16 +417,34 @@ class TestErrorPaths:
              "subspace vectors must all have the same length"),
             (["jordanize", "{f}"], [[]], "matrix rows must be nonempty"),
             (["classify", "{f}", "{m}"], [[]], "matrix rows must be nonempty"),
+            (["oracle", "solve", "{f}"], {"kind": "transpose-pair", "j": [[1], [2]]},
+             "transpose-pair needs square matrices, got 2x1"),
+            (["oracle", "solve", "{f}"],
+             {"kind": "symmetric-transpose-pair", "j": [[1, 2]]},
+             "symmetric-transpose-pair needs square matrices, got 1x2"),
+            (["oracle", "solve", "{f}"],
+             {"kind": "intertwine", "t1": [[1, 2]], "t2": [[1, 2]]},
+             "intertwine needs square matrices, got 1x2"),
+            (["oracle", "solve", "{f}"], {"kind": "inhom-comm", "t": [[1, 2]]},
+             "inhom-comm needs square matrices, got 1x2"),
+            (["invsub", "check", "{f}", "{w}"], [[1, 2]],
+             "invariance check of non-square matrix"),
+            (["invsub", "check", "{f}", "{w}"], [[1, 2, 3], [4, 5, 6]],
+             "invariance check of non-square matrix"),
         ],
         ids=["oracle-spec-list", "make-spec-list", "make-mu-int", "check-basis-int",
              "check-ragged-short-last", "check-ragged-short-first",
-             "jordanize-empty-row", "classify-empty-row"],
+             "jordanize-empty-row", "classify-empty-row",
+             "oracle-transpose-pair-2x1", "oracle-symmetric-transpose-pair-1x2",
+             "oracle-intertwine-1x2", "oracle-inhom-comm-1x2",
+             "check-1x2", "check-2x3"],
     )
     def test_wrong_shape_exit_1(self, tmp_path, capsys, argv, data, message):
         paths = {
             "f": write(tmp_path, "f.json", data),
             "a": write(tmp_path, "a.json", BIANCHI),
             "m": write(tmp_path, "m.json", [[1, 0], [0, -1]]),
+            "w": write(tmp_path, "w.json", [[1, 2]]),
         }
         code, out = run(capsys, [arg.format(**paths) for arg in argv])
         assert code == 1
@@ -439,3 +460,170 @@ class TestErrorPaths:
         data = json.loads(out)
         assert data["code"] == "verification-failed"
         assert data["context"] == {"check": "derivation", "index": 0}
+
+
+# Malformed but parseable CLI input: mostly well-formed values, some
+# with one bad part.  Every integer that becomes a size (n, mult, k,
+# shift, an exponent) stays in [-2, 3] and every algebra has dimension
+# at most 6, so each call runs in bounded time; entries and coefficients
+# may also be 70-bit integers.
+NUMS = st.one_of(
+    st.integers(-2, 3),
+    st.integers(2**69, 2**70) | st.integers(-(2**70), -(2**69)),
+    st.sampled_from(["1/2", "-3/4", " 2 "]),
+)
+JUNK = st.sampled_from(
+    ["a/0", "1/0", "x", "", "1.5", 0.5, 1.0, -2.5, True, False, None, [1], [[0]], {}]
+)
+
+
+def _mostly(good, bad):
+    """good four times in five, else bad."""
+    return st.integers(0, 4).flatmap(lambda k: good if k else bad)
+
+
+LEAVES = _mostly(NUMS, JUNK)
+SIZES = _mostly(st.integers(1, 3), st.integers(-2, 0) | JUNK)
+POLYS = _mostly(
+    st.sampled_from([[0, 1], [-1, 1], [1, 1], [1, 0, 1], [5, 2, 1], [-2, 0, 0, 1],
+                     [-(2**70 + 1), 1], [2**70, 0, 1], [3, 1, 0, 1], "X", "X - 1",
+                     "X^2 + 1", "X^3 - 2"]),
+    st.sampled_from(["2*X + 1", "X^2 + 1/0", "X^", "Y", "", "X^-1", "X^3 + X^2"])
+    | st.lists(LEAVES, max_size=4) | JUNK,
+)
+
+
+def _spoil(value, draw):
+    """value, or value with one entry of its innermost lists made junk."""
+    if not value or not draw(st.booleans()):
+        return value
+    i = draw(st.integers(0, len(value) - 1))
+    inner = value[i]
+    if isinstance(inner, list) and inner:
+        j = draw(st.integers(0, len(inner) - 1))
+        inner = inner[:j] + [draw(JUNK)] + inner[j + 1:]
+    else:
+        inner = draw(JUNK)
+    return value[:i] + [inner] + value[i + 1:]
+
+
+@st.composite
+def alephs(draw):
+    if draw(st.integers(0, 9)) == 0:
+        return draw(JUNK)
+    entries, dim = [], 0
+    for _ in range(draw(st.integers(0, 3) if draw(st.booleans()) else st.just(1))):
+        item = {"p": draw(POLYS), "n": draw(SIZES), "mult": draw(SIZES)}
+        if draw(st.integers(0, 9)) == 0:
+            del item[draw(st.sampled_from(sorted(item)))]
+        p = item.get("p")
+        size = max(len(p) - 1, 1) if isinstance(p, list) else 3
+        for key in ("n", "mult"):
+            v = item.get(key)
+            size *= v if isinstance(v, int) and v > 0 else 1
+        if dim + size <= 6:
+            entries.append(item)
+            dim += size
+    return entries
+
+
+@st.composite
+def matrices(draw, rows=None):
+    if draw(st.integers(0, 9)) == 0:
+        return draw(JUNK | st.lists(st.lists(NUMS, max_size=3), max_size=3))
+    n = draw(st.integers(1, 3))
+    cols = draw(st.sampled_from([n, n, n, 1, 2, 3]))
+    rows = n if rows is None else rows
+    return _spoil(draw(st.lists(st.lists(NUMS, min_size=cols, max_size=cols),
+                                min_size=rows, max_size=rows)), draw)
+
+
+MU_ENTRIES = st.fixed_dictionaries({
+    "p": POLYS, "n": SIZES, "beta": SIZES, "k": SIZES, "alpha": SIZES,
+    "shift": SIZES, "value": LEAVES,
+})
+INVSUB_SPECS = st.fixed_dictionaries(
+    {"beth": alephs()}, optional={"mu": st.lists(MU_ENTRIES, max_size=3) | JUNK}
+) | JUNK
+
+
+@st.composite
+def equation_specs(draw):
+    kind = draw(st.sampled_from([
+        "intertwine", "lambda-comm", "inhom-comm", "transpose-pair",
+        "symmetric-transpose-pair", "derivation", "other", 3,
+    ]))
+    fields = {
+        "intertwine": ["t1", "t2"], "lambda-comm": ["t", "lambda"],
+        "derivation": ["aleph", "epsilon"],
+    }.get(kind, ["j"] if "transpose" in str(kind) else ["t"])
+    spec = {"kind": kind}
+    for key in fields:
+        if draw(st.integers(0, 9)):
+            spec[key] = draw({"lambda": LEAVES, "aleph": alephs(), "epsilon": SIZES}
+                             .get(key, matrices()))
+    return spec
+
+
+LAMBDAS = st.sampled_from(["2", "-1", "1/2", "0", "1/0", "x", str(2**70 + 1)])
+LIE_OPS = ["centre", "nilpotent", "decompose", "aut", "der", "casimir"]
+
+
+@st.composite
+def cli_calls(draw):
+    """argv with each JSON input as a ("json", value) placeholder."""
+    m, a = ("json", draw(matrices())), ("json", draw(alephs()))
+    form = draw(st.sampled_from([
+        "jordanize", "extract-mult", "classify", "xt-ltx", "yt-ty-t", "zjt",
+        "lie", "lcs", "lie classify", "oracle", "invsub make", "invsub check",
+    ]))
+    epsilon = ["--epsilon", draw(st.sampled_from(["0", "1"]))]
+    hints = (["--hints", ("json", draw(st.lists(POLYS, max_size=2) | JUNK))]
+             if draw(st.integers(0, 3)) == 0 else [])
+    if form in ("jordanize", "extract-mult"):
+        argv = [form, m] + hints
+        if form == "jordanize":
+            argv += epsilon + (["--pretty"] if draw(st.booleans()) else [])
+        return argv
+    if form in ("classify", "lie classify"):
+        return form.split() + [m, ("json", draw(matrices()))] + hints + epsilon
+    if form == "xt-ltx":
+        return ["solve", form, m, "--lambda", draw(LAMBDAS)] + hints + epsilon
+    if form == "yt-ty-t":
+        return ["solve", form, m] + hints
+    if form == "zjt":
+        return ["solve", form, "--aleph", a] + epsilon
+    if form == "lie":
+        op = draw(st.sampled_from(LIE_OPS))
+        pretty = ["--pretty"] if op == "casimir" and draw(st.booleans()) else []
+        return ["lie", op, "--aleph", a] + epsilon + pretty
+    if form == "lcs":
+        return ["lie", "lcs", "--aleph", a, "--k", str(draw(st.integers(-2, 3)))] + epsilon
+    if form == "oracle":
+        return ["oracle", "solve", ("json", draw(equation_specs() | JUNK))]
+    if form == "invsub make":
+        return ["invsub", "make", ("json", draw(INVSUB_SPECS)), "--aleph", a] + epsilon
+    w = draw(matrices(rows=draw(st.integers(0, 3))))
+    return ["invsub", "check", m, ("json", w)] + hints
+
+
+@given(call=cli_calls())
+@settings(max_examples=300, deadline=None)
+def test_malformed_input_never_tracebacks(tmp_path_factory, call):
+    """Every verb answers malformed JSON with exit 0-3, and a failure is
+    one {code, message, context} object on stdout."""
+    tmp = tmp_path_factory.getbasetemp() / "fuzz"
+    tmp.mkdir(exist_ok=True)
+    argv = []
+    for k, arg in enumerate(call):
+        if isinstance(arg, tuple):
+            arg = write(tmp, f"in{k}.json", arg[1])
+        argv.append(arg)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    assert code in (0, 1, 2, 3)
+    if code:
+        data = json.loads(out.getvalue())
+        assert set(data) == {"code", "message", "context"}
+        assert isinstance(data["context"], dict)

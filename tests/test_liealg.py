@@ -171,6 +171,11 @@ class TestAutomorphisms:
             space.delta_space(2)  # not a dilation symmetry
         with pytest.raises(ValueError):
             space.assemble(2, mat([[1, 0], [0, 1]]), [0, 0])
+        swap = mat([[0, 1], [1, 0]])
+        assert is_automorphism(bianchi, space.assemble(-1, swap, [1, -1]))
+        for gamma in ([1, -1, 5], [1]):  # gamma must have dim V = 2 entries
+            with pytest.raises(ValueError, match="gamma must have 2 entries"):
+                space.assemble(-1, swap, gamma)
 
     def test_random_samples_are_automorphisms(self, bianchi):
         import random
@@ -271,6 +276,34 @@ class TestAutomorphisms:
         assert json.loads(capsys.readouterr().out)["composite"]
         assert len(forms) == 1
 
+    def test_each_query_splits_once(self, cubic, monkeypatch, tmp_path, capsys):
+        """Der, Aut, the decomposable view and `lie aut` split L once each."""
+        import json
+
+        import jordanable.liealg as liealg_mod
+        from jordanable.cli import main
+
+        splits = []
+        split = liealg_mod._split
+        monkeypatch.setattr(liealg_mod, "_split", lambda l: splits.append(l) or split(l))
+        path = tmp_path / "a.json"
+        path.write_text(json.dumps([
+            {"p": [-2, 0, 0, 1], "n": 2, "mult": 1}, {"p": [0, 1], "n": 1, "mult": 1}
+        ]))
+        queries = [
+            lambda: derivation_space(cubic),
+            lambda: automorphism_space(cubic),
+            lambda: compose_decomposable(cubic, "aut"),
+            lambda: main(["lie", "aut", "--aleph", str(path)]),
+        ]
+        counts = []
+        for query in queries:
+            splits.clear()
+            query()
+            counts.append(len(splits))
+        assert counts == [1, 1, 1, 1]
+        assert json.loads(capsys.readouterr().out)["composite"]
+
 
 class TestDerivations:
     def test_bianchi(self, bianchi):
@@ -352,7 +385,8 @@ class TestComposeDecomposable:
 
     def test_heisenberg_core_rejected(self):
         l = AlmostAbelianAlgebra(aleph((irr("X"), 2, 1), (irr("X"), 1, 1)))
-        assert not l.is_heisenberg  # h3 + F: the rejection comes from the split
+        # h3 + F, not h3 itself: the core L0 is the Heisenberg algebra
+        assert l.aleph.entries != {(x_irreducible(), 2): 1}
         with pytest.raises(HeisenbergDeferred):
             derivation_space(l)
         with pytest.raises(HeisenbergDeferred):
@@ -365,6 +399,11 @@ class TestComposeDecomposable:
     def test_indecomposable_rejected(self, bianchi):
         with pytest.raises(ValueError):
             compose_decomposable(bianchi, "aut")
+
+    def test_heisenberg_rejected(self):
+        """h3 has no W either, but its Heisenberg core is rejected first."""
+        with pytest.raises(HeisenbergDeferred):
+            compose_decomposable(AlmostAbelianAlgebra(aleph((irr("X"), 2, 1))), "aut")
 
 
 class TestCasimir:

@@ -44,6 +44,24 @@ class TestBruteSolve:
             assert b == b.transpose()
             assert full.contains(b)
 
+    def test_non_square_rejected_before_solving(self, monkeypatch):
+        """A non-square coefficient matrix is named, with its kind and shape,
+        before any system is built (a cap of 0 would refuse every system)."""
+        monkeypatch.setenv("JORDANABLE_CAP", "0")
+        row = mat([[1, 2]])
+        cases = [
+            (EquationSpec.transpose_pair(mat([[1], [2]])), "transpose-pair", "2x1"),
+            (EquationSpec.symmetric_transpose_pair(row),
+             "symmetric-transpose-pair", "1x2"),
+            (EquationSpec.intertwine(Matrix.identity(2), row), "intertwine", "1x2"),
+            (EquationSpec.lambda_comm(row, 2), "lambda-comm", "1x2"),
+            (EquationSpec.inhom_comm(row), "inhom-comm", "1x2"),
+        ]
+        for spec, kind, shape in cases:
+            with pytest.raises(ValueError) as info:
+                brute_solve(spec)
+            assert str(info.value) == f"{kind} needs square matrices, got {shape}"
+
     def test_cap(self, monkeypatch):
         monkeypatch.setenv("JORDANABLE_CAP", "3")
         with pytest.raises(OracleCapExceeded):
