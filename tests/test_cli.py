@@ -56,12 +56,33 @@ DER_ALGEBRAS = {
     "nilpotent-chain": [entry([0, 1], 3)],
     "nilpotent-chains": [entry([0, 1], 2, 2), entry([0, 1], 3)],
 }
+# the argv prefix of each verb pinned over DER_ALGEBRAS; `solve zjt` reads
+# the same alephs as the `lie` verbs
+LIE_VERBS = {
+    "der": ["lie", "der"],
+    "aut": ["lie", "aut"],
+    "casimir": ["lie", "casimir"],
+    "zjt": ["solve", "zjt"],
+}
 LIE_GOLDEN = {
     verb: json.loads(
         (Path(__file__).parent / f"golden_lie_{verb}.json").read_text(encoding="utf-8")
     )
-    for verb in ("der", "aut")
+    for verb in LIE_VERBS
 }
+# `solve xt-ltx` (lambda = -1 and 2, per epsilon) and `solve yt-ty-t` on
+# matrices given in a conjugated basis; the pinned answers are
+# golden_solve.json
+SOLVE_MATRICES = {
+    "conjugated-nilpotent": [["2/3", "-1/3", "2/3"], [2, -1, 1], ["-2/3", "1/3", "1/3"]],
+    "nilpotent-chain+1": [[0, 1, 0], [0, 0, 0], [0, 0, 0]],
+    "quadratic+1": [[1, -2, 0], [1, -1, 0], [0, 0, 2]],
+    "real-pair": [[1, 0], [0, -1]],
+    "powers-of-2": [[1, 1, 0], [0, 2, 1], [0, 0, 4]],
+}
+SOLVE_GOLDEN = json.loads(
+    (Path(__file__).parent / "golden_solve.json").read_text(encoding="utf-8")
+)
 
 
 class TestParser:
@@ -152,7 +173,7 @@ class TestLieVerbs:
     def test_der_golden(self, tmp_path, capsys, verb, case):
         name, eps = case.split("/eps")
         a = write(tmp_path, "a.json", DER_ALGEBRAS[name])
-        code, out = run(capsys, ["lie", verb, "--aleph", a, "--epsilon", eps])
+        code, out = run(capsys, [*LIE_VERBS[verb], "--aleph", a, "--epsilon", eps])
         want = LIE_GOLDEN[verb][case]
         assert code == want["exit"]
         assert out == json.dumps(want["stdout"], separators=(",", ":"))
@@ -259,6 +280,18 @@ class TestSolveVerbs:
         code, out = run(capsys, ["solve", "zjt", "--aleph", a])
         assert code == 0
         assert json.loads(out)["dim"] == 2
+
+    @pytest.mark.parametrize("case", sorted(SOLVE_GOLDEN))
+    def test_golden(self, tmp_path, capsys, case):
+        equation, name, *rest = case.split("/")
+        argv = ["solve", equation, write(tmp_path, "m.json", SOLVE_MATRICES[name])]
+        if rest:
+            lam, eps = rest
+            argv += ["--lambda", lam.removeprefix("lambda"), "--epsilon", eps[3:]]
+        code, out = run(capsys, argv)
+        want = SOLVE_GOLDEN[case]
+        assert code == want["exit"]
+        assert out == json.dumps(want["stdout"], separators=(",", ":"))
 
     def test_epsilon_misuse_exit_2(self, tmp_path, capsys):
         # X^2 - 2 has no rotation-scaling form
