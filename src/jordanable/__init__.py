@@ -56,7 +56,6 @@ from .jordan import (
 )
 from .equations import (
     SolutionSpace,
-    commutant,
     jordan_intertwiners,
     nilpotent_intertwiners,
     p_matrix,

@@ -143,33 +143,35 @@ def jordan_intertwiners(
     return SolutionSpace(shape, tuple(basis))
 
 
-def _paired_intertwiners(
-    blocks: list[Block], conv: Convention, target_poly, dim: int
-) -> list[Matrix]:
-    """Basis of the dim x dim R with R J(aleph) = J' R supported on blocks.
+def _v_block(lam: Fraction, b: Block, conv: Convention) -> Matrix:
+    """The block of V(lam; aleph) on one copy of J(p, n), for lam != 0."""
+    scale = lam if conv.epsilon == 1 else lam / abs(lam)
+    return v_matrix(b.n, 1 / lam).kron(v_matrix(b.p.degree, scale))
 
-    J' is block diagonal with block i equal to J(target_poly(p_i), n_i);
-    the (i, j) sub-block of R is a jordan intertwiner and vanishes unless
-    target_poly(p_i) = p_j.  The blocks may cover only part of the dim
-    coordinates; R vanishes outside them.
+
+def _lambda_intertwiners(
+    blocks: list[Block], conv: Convention, lam, dim: int
+) -> list[Matrix]:
+    """Unchecked basis V(lam) R of the dim x dim X with X J = lam J X on blocks.
+
+    The (i, j) sub-block of R is a jordan intertwiner into J(lam*p_i, n_i),
+    zero unless lam*p_i = p_j, and V(lam) scales row block i by its block
+    of V(lam; aleph); lam = 1 gives the commutant.  X vanishes outside the
+    blocks, which may cover only part of the dim coordinates.
     """
+    lam = _frac(lam)
     out = []
     for bi in blocks:
-        pi = target_poly(bi.p)
+        pi = star_irreducible(lam, bi.p)
+        v = _v_block(lam, bi, conv)
+        rows = range(bi.offset, bi.offset + bi.size)
         for bj in blocks:
             if pi != bj.p:
                 continue
             local = jordan_intertwiners(pi, bj.n, pi, bi.n, conv)
-            rows = range(bi.offset, bi.offset + bi.size)
             cols = range(bj.offset, bj.offset + bj.size)
-            out.extend(b.embed(dim, dim, rows, cols) for b in local.basis)
+            out.extend((v * b).embed(dim, dim, rows, cols) for b in local.basis)
     return out
-
-
-def commutant(j: JordanForm) -> SolutionSpace:
-    """All X with X J = J X, in the structured block basis."""
-    basis = _paired_intertwiners(j.blocks, j.convention, lambda p: p, j.dim)
-    return SolutionSpace((j.dim, j.dim), tuple(basis))
 
 
 def v_aleph(lam, a: MultiplicityFunction, conv: Convention = EPS1) -> Matrix:
@@ -177,10 +179,7 @@ def v_aleph(lam, a: MultiplicityFunction, conv: Convention = EPS1) -> Matrix:
     lam = _frac(lam)
     if lam == 0:
         raise ValueError("V(lam; aleph) is only defined for nonzero lam")
-    scale = lam if conv.epsilon == 1 else lam / abs(lam)
-    return Matrix.block_diag(
-        [v_matrix(b.n, 1 / lam).kron(v_matrix(b.p.degree, scale)) for b in block_layout(a)]
-    )
+    return Matrix.block_diag([_v_block(lam, b, conv) for b in block_layout(a)])
 
 
 def u_aleph(a: MultiplicityFunction) -> Matrix:
@@ -206,25 +205,19 @@ def solve_lambda_comm(
     """All X with X T = lam T X, for nonzero lam.
 
     In Jordan coordinates the space is V(lam; aleph) times the intertwiner
-    space pairing each block (p, n) with blocks (lam*p, m).
+    space pairing each block (p, n) with blocks (lam*p, m); each element
+    is checked once, in T's coordinates.
     """
     lam = _frac(lam)
     if lam == 0:
         raise ValueError("lambda must be nonzero")
     if isinstance(t, JordanForm):
-        j = t
-        s = s_inv = None
+        j, tm, s = t, t.matrix, None
     else:
         s, j = similarity_transform(t, hints, conv)
-        s_inv = invert(s)
-    v = v_aleph(lam, j.aleph, j.convention)
-    raw = _paired_intertwiners(
-        j.blocks, j.convention, lambda p: star_irreducible(lam, p), j.dim
-    )
+        s_inv, tm = invert(s), t
     basis = []
-    tm = t.matrix if isinstance(t, JordanForm) else t
-    for r in raw:
-        x = v * r
+    for x in _lambda_intertwiners(j.blocks, j.convention, lam, j.dim):
         if s is not None:
             x = s_inv * x * s
         verify(x * tm == (tm * x).scale(lam), "lambda-commutation check failed",
@@ -239,7 +232,8 @@ def solve_inhom_comm(
     """All Y with Y T - T Y = T, or None when T is not nilpotent.
 
     Solvable exactly when supp aleph_T = {X}; then one solution is the
-    conjugated U(aleph) and the rest differ by commutant elements.
+    conjugated U(aleph) and the rest differ by commutant elements, the
+    lambda = 1 intertwiners.
     """
     if t.is_zero:
         raise ValueError("T must be nonzero")
@@ -251,11 +245,18 @@ def solve_inhom_comm(
     verify(offset * t - t * offset == t, "inhomogeneous check failed",
            check="inhomogeneous-commutation")
     basis = []
-    for c in commutant(j).basis:
+    for c in _lambda_intertwiners(j.blocks, j.convention, 1, j.dim):
         y = s_inv * c * s
         verify(y * t == t * y, "commutant check failed", check="commutation")
         basis.append(y)
     return SolutionSpace((t.rows, t.cols), tuple(basis), offset)
+
+
+def _transpose_pair_basis(j: JordanForm) -> list[Matrix]:
+    """Unchecked basis W(aleph) X of the Z with Z J + J^T Z = 0, for X over
+    the lambda = -1 intertwiners of J = J(aleph)."""
+    w = w_aleph(j.aleph, j.convention)
+    return [w * x for x in _lambda_intertwiners(j.blocks, j.convention, -1, j.dim)]
 
 
 def solve_transpose_pair(
@@ -263,18 +264,16 @@ def solve_transpose_pair(
 ) -> SolutionSpace:
     """All Z with Z J(aleph) + J(aleph)^T Z = 0, in the Jordan basis.
 
-    Every solution is W(aleph) times a (-1)-intertwiner, so the space is
-    W(aleph) applied to the lambda = -1 solution space.
+    Every solution is W(aleph) times a (-1)-intertwiner X J = -J X.  W is
+    invertible with J^T W = W J, so Z J + J^T Z = W (X J + J X): the one
+    check per element, on Z, holds exactly when X's would.
     """
     if a.is_zero:
         raise ZeroMultiplicityFunction("transpose pair needs a nonzero function")
     j = canonical_form(a, conv)
-    w = w_aleph(a, conv)
     jt = j.matrix.transpose()
-    basis = []
-    for x in solve_lambda_comm(j, -1).basis:
-        z = w * x
+    basis = _transpose_pair_basis(j)
+    for z in basis:
         verify((z * j.matrix + jt * z).is_zero, "transpose-pair check failed",
                check="transpose-pair")
-        basis.append(z)
     return SolutionSpace((j.dim, j.dim), tuple(basis))

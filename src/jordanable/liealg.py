@@ -40,9 +40,9 @@ from .multiplicity import (
 )
 from .equations import (
     SolutionSpace,
-    _paired_intertwiners,
+    _lambda_intertwiners,
+    _transpose_pair_basis,
     solve_lambda_comm,
-    solve_transpose_pair,
     u_aleph,
     v_aleph,
 )
@@ -394,7 +394,7 @@ def derivation_space(l: AlmostAbelianAlgebra) -> SolutionSpace:
     basis = [_unit_matrix(n, i, 0) for i in s.core]
     basis.extend(
         r.embed(n, n, v, v)
-        for r in _paired_intertwiners(s.blocks, l.convention, lambda p: p, l.form.dim)
+        for r in _lambda_intertwiners(s.blocks, l.convention, 1, l.form.dim)
     )
     if is_nilpotent(l):
         basis.append(u_aleph(l.aleph).embed(n, n, v, v) + _unit_matrix(n, 0, 0))
@@ -447,23 +447,22 @@ class CasimirElement:
 
 
 def casimir_basis(l: AlmostAbelianAlgebra) -> list[CasimirElement]:
-    """Basis of the quadratic Casimirs: symmetric A with A J + J^T A = 0."""
-    space = solve_transpose_pair(l.aleph, l.convention)
-    if not space.basis:
-        return []
-    # impose symmetry: kernel of c -> sum c_i (B_i - B_i^T)
-    cols = [list((b - b.transpose()).vec()) for b in space.basis]
-    kernel = row_reduce(Matrix.column_stack(cols))[2]
+    """Basis of the quadratic Casimirs: symmetric A with A J + J^T A = 0.
+
+    In L's own form, A = sum c_i Z_i over the Z J + J^T Z = 0 basis Z_i,
+    with c in the one kernel of c -> sum c_i (Z_i - Z_i^T); each A is
+    checked once.
+    """
+    zs = _transpose_pair_basis(l.form)
+    kernel = row_reduce(Matrix.column_stack([(z - z.transpose()).vec() for z in zs]))[2]
     j = l.form.matrix
     jt = j.transpose()
     out = []
     for coeffs in kernel:
-        a = Matrix.zeros(j.rows, j.cols)
-        for c, b in zip(coeffs, space.basis):
-            a = a + b.scale(c)
-        verify(a == a.transpose(), "Casimir matrix is not symmetric", check="casimir")
-        verify((a * j + jt * a).is_zero, "Casimir identity A J + J^T A = 0 failed",
-               check="casimir")
+        a = sum((z.scale(c) for c, z in zip(coeffs, zs) if c),
+                Matrix.zeros(j.rows, j.cols))
+        verify(a == a.transpose() and (a * j + jt * a).is_zero,
+               "Casimir identity A = A^T, A J + J^T A = 0 failed", check="casimir")
         out.append(CasimirElement(a))
     return out
 

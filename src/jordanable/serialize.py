@@ -1,6 +1,7 @@
 """JSON wire format shared by the CLI and the test fixtures.
 
-Rationals are integers when integral and "num/den" strings otherwise;
+Rationals are integers when integral and "num/den" strings otherwise
+(input also takes any "[sign]digits[/digits]" string);
 polynomials are coefficient arrays [a0, a1, ..., 1] (a human string such
 as "X^3 - 2" is also accepted on input); matrices are arrays of row
 arrays; multiplicity functions are lists of {"p", "n", "mult"} objects.
@@ -8,6 +9,7 @@ arrays; multiplicity functions are lists of {"p", "n", "mult"} objects.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .field import Matrix, Polynomial, _frac
@@ -30,12 +32,19 @@ def int_from_json(v) -> int:
     return v
 
 
+# [sign]digits[/digits] in ASCII digits, with surrounding spaces: without
+# decimals and exponents ("1e100000") no number outgrows the text giving it
+_RATIONAL = re.compile(r"\s*[+-]?[0-9]+(/[0-9]+)?\s*", re.ASCII)
+
+
 def frac_from_json(v) -> Fraction:
+    """A JSON integer or a "[sign]digits[/digits]" string; anything else is
+    a ValueError."""
     if isinstance(v, bool):
         raise ValueError(f"not a rational: {v!r}")
     if isinstance(v, int):
         return Fraction(v)
-    if isinstance(v, str):
+    if isinstance(v, str) and _RATIONAL.fullmatch(v):
         try:
             return Fraction(v.strip())
         except ZeroDivisionError:

@@ -413,6 +413,29 @@ class TestErrorPaths:
             "context": {},
         }
 
+    def test_exponent_entry_exit_1_before_arithmetic(self, tmp_path, capsys):
+        m = write(tmp_path, "m.json", [["1e100000", 1], [0, 1]])
+        start = time.perf_counter()
+        code, out = run(capsys, ["jordanize", m])
+        assert time.perf_counter() - start < 5
+        assert code == 1
+        assert json.loads(out) == {
+            "code": "input-error",
+            "message": "not a rational: '1e100000'",
+            "context": {},
+        }
+
+    def test_exponent_lambda_exit_1(self, tmp_path, capsys):
+        spec = write(
+            tmp_path, "spec.json",
+            {"kind": "lambda-comm", "t": [[1, 0], [0, -1]], "lambda": "1e3"},
+        )
+        code, out = run(capsys, ["oracle", "solve", spec])
+        assert code == 1
+        assert json.loads(out) == {
+            "code": "input-error", "message": "not a rational: '1e3'", "context": {}
+        }
+
     @pytest.mark.parametrize(
         "entry, message",
         [

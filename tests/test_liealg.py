@@ -26,6 +26,8 @@ from jordanable import (
     is_derivation,
     is_nilpotent,
     lower_central_series,
+    solve_lambda_comm,
+    solve_transpose_pair,
 )
 from jordanable.field import invert
 from jordanable.oracle import EquationSpec, brute_solve, random_unimodular
@@ -431,6 +433,45 @@ class TestCasimir:
         assert [c.matrix for c in casimir_basis(l)] == [
             mat([[0, 0], [0, 1]])
         ]
+
+
+class TestOneCheckPerAnswer:
+    """Each structured answer is built once, in L's own form, and each of
+    its elements is checked once, by an explicit verify."""
+
+    @pytest.fixture
+    def chains(self):
+        return AlmostAbelianAlgebra(aleph((irr("X"), 3, 1), (irr("X"), 2, 1)))
+
+    @pytest.fixture
+    def counted(self, chains, monkeypatch):
+        import jordanable.equations as equations_mod
+        import jordanable.liealg as liealg_mod
+
+        checks, forms = [], []
+        for mod in (equations_mod, liealg_mod):
+            verify, form = mod.verify, mod.canonical_form
+            monkeypatch.setattr(
+                mod, "verify", lambda *a, _v=verify, **k: checks.append(a) or _v(*a, **k)
+            )
+            monkeypatch.setattr(
+                mod, "canonical_form", lambda *a, _f=form: forms.append(a) or _f(*a)
+            )
+        return checks, forms
+
+    def test_casimirs(self, chains, counted):
+        checks, forms = counted
+        assert (len(casimir_basis(chains)), len(checks), len(forms)) == (5, 5, 0)
+
+    def test_transpose_pair(self, chains, counted):
+        checks, _forms = counted
+        space = solve_transpose_pair(chains.aleph)
+        assert (space.dim, len(checks)) == (9, 9)
+
+    def test_lambda_commutation(self, chains, counted):
+        checks, forms = counted
+        space = solve_lambda_comm(chains.form, 2)
+        assert (space.dim, len(checks), len(forms)) == (9, 9, 0)
 
 
 class TestSubalgebraIdeal:

@@ -25,6 +25,17 @@ class TestFractions:
         with pytest.raises(ValueError):
             ser.frac_from_json(1.5)
 
+    @pytest.mark.parametrize(
+        "text", ["1e100000", "1.5", "1_000", "\u0661\u0662", "1 / 2", "", "/2", "1/"]
+    )
+    def test_rejects_all_but_sign_digits_slash_digits(self, text):
+        with pytest.raises(ValueError, match="not a rational"):
+            ser.frac_from_json(text)
+
+    def test_surrounding_spaces_and_signs_accepted(self):
+        assert ser.frac_from_json(" +6/4 ") == Fraction(3, 2)
+        assert ser.frac_from_json("-7") == -7
+
     def test_zero_denominator_is_a_value_error(self):
         with pytest.raises(ValueError):
             ser.frac_from_json("1/0")
