@@ -465,7 +465,7 @@ def solve_linear(m: Matrix, b: Sequence) -> Optional[tuple[tuple, list[tuple]]]:
         raise ValueError("right-hand side length mismatch")
     aug = Matrix(m.rows, m.cols + 1,
                  [x for i in range(m.rows) for x in (*m.row(i), _frac(b[i]))])
-    rank, rref, _, _ = row_reduce(aug)
+    rank, rref, aug_kernel, _ = row_reduce(aug)
     pivots = []
     for i in range(rank):
         row = rref.row(i)
@@ -478,7 +478,9 @@ def solve_linear(m: Matrix, b: Sequence) -> Optional[tuple[tuple, list[tuple]]]:
     particular = [Fraction(0)] * m.cols
     for i, pc in enumerate(pivots):
         particular[pc] = rref[i, m.cols]
-    _, _, kernel, _ = row_reduce(m)
+    # the augmented column is free and last, so the other kernel vectors of
+    # aug, cut to m.cols entries, are the kernel of m
+    kernel = [v[:-1] for v in aug_kernel[:-1]]
     return tuple(particular), kernel
 
 

@@ -23,7 +23,7 @@ from enum import Enum
 from fractions import Fraction
 
 from .errors import ConventionError, UnfactoredRemainder, VerificationFailed, verify
-from .field import Matrix, Polynomial, poly_divmod, poly_gcd, solve_linear, span_contains, _frac
+from .field import Matrix, Polynomial, poly_divmod, poly_gcd, solve_linear, _frac
 
 
 class Certification(Enum):
@@ -279,25 +279,21 @@ def minimal_polynomial(t: Matrix) -> Polynomial:
     n = t.rows
     if n == 0:
         return Polynomial.one()
-    powers = [Matrix.identity(n)]
+    power = Matrix.identity(n)
     vecs: list[tuple] = []
     while True:
-        v = powers[-1].vec()
-        if vecs and span_contains(vecs, v):
-            break
-        if not vecs and all(x == 0 for x in v):
-            break
+        v = power.vec()
+        if vecs:  # the first power, the identity, is never zero
+            sol = solve_linear(Matrix.column_stack([list(u) for u in vecs]), list(v))
+            if sol is not None:
+                break
         vecs.append(v)
-        powers.append(powers[-1] * t)
-        if len(powers) > n + 1:
+        power = power * t
+        if len(vecs) > n:
             raise VerificationFailed(
                 "no Krylov dependence below dimension bound",
                 check="krylov-dependence", dim=n,
             )
-    k = len(vecs)
-    sol = solve_linear(Matrix.column_stack([list(v) for v in vecs]), list(powers[k].vec()))
-    verify(sol is not None, "Krylov dependence has no solution",
-           check="krylov-dependence", dim=n)
     coeffs = [-c for c in sol[0]] + [Fraction(1)]
     return Polynomial(coeffs)
 

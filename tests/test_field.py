@@ -141,6 +141,25 @@ class TestMatrix:
         assert null == []
         assert solve_linear(mat([[1, 1], [1, 1]]), [0, 1]) is None
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 4).flatmap(lambda c: st.tuples(
+            st.lists(st.lists(rationals, min_size=c, max_size=c), max_size=4),
+            st.lists(rationals, min_size=c, max_size=c),
+        ))
+    )
+    def test_solve_linear_kernel_is_row_reduce_kernel(self, rows_x):
+        # b = m x is always solvable; the one reduction of [m | b] must give
+        # the same kernel as reducing m alone
+        rows, x = rows_x
+        m = Matrix(len(rows), len(x), [v for row in rows for v in row])
+        b = list(m.apply(x))
+        sol = solve_linear(m, b)
+        assert sol is not None
+        particular, kernel = sol
+        assert list(m.apply(particular)) == b
+        assert kernel == row_reduce(m)[2]
+
     def test_invert(self):
         m = mat([[1, 2], [3, 5]])
         assert m * invert(m) == Matrix.identity(2)

@@ -194,6 +194,17 @@ class TestMinimalPolynomial:
     def test_identity(self):
         assert minimal_polynomial(Matrix.identity(3)) == parse_poly("X - 1")
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_conjugated_jordan_form(self, seed):
+        # product of p^(longest block of p), read off the generating aleph
+        from jordanable.oracle import Profile, random_instance
+
+        a, _j, _s, t = random_instance(seed, Profile(max_dim=7))
+        want = Polynomial.one()
+        for p in a.supp:
+            want = want * p.poly ** max(n for (q, n), _m in a.items() if q == p)
+        assert minimal_polynomial(t) == want
+
 
 class TestFactorWithHints:
     def test_autonomous(self):
