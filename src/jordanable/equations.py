@@ -12,8 +12,8 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import ZeroMultiplicityFunction, verify
-from .field import Matrix, _frac, invert, span_contains
-from .jordan import Block, JordanForm, block_layout, canonical_form, similarity_transform
+from .field import Matrix, _frac, span_contains
+from .jordan import Block, JordanForm, _similarity, block_layout, canonical_form
 from .multiplicity import MultiplicityFunction
 from .spectrum import (
     Convention,
@@ -214,8 +214,8 @@ def solve_lambda_comm(
     if isinstance(t, JordanForm):
         j, tm, s = t, t.matrix, None
     else:
-        s, j = similarity_transform(t, hints, conv)
-        s_inv, tm = invert(s), t
+        s, s_inv, j = _similarity(t, hints, conv)
+        tm = t
     basis = []
     for x in _lambda_intertwiners(j.blocks, j.convention, lam, j.dim):
         if s is not None:
@@ -237,10 +237,9 @@ def solve_inhom_comm(
     """
     if t.is_zero:
         raise ValueError("T must be nonzero")
-    s, j = similarity_transform(t, hints)
+    s, s_inv, j = _similarity(t, hints)
     if not j.aleph.supported_on_x:
         return None
-    s_inv = invert(s)
     offset = s_inv * u_aleph(j.aleph) * s
     verify(offset * t - t * offset == t, "inhomogeneous check failed",
            check="inhomogeneous-commutation")

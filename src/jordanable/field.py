@@ -3,6 +3,11 @@
 The ground field is Q, realized by :class:`fractions.Fraction`.  All
 types are immutable values and all functions are pure; there is no
 floating point anywhere in this package.
+
+Matrices are stored dense, but the operators of this package are sparse
+in a Jordan basis (J(aleph) has O(n) nonzeros), so products, ``kron``
+and ``apply`` skip the zero entries of both operands: a product costs
+one multiplication per pair of nonzeros that meet, not n^3.
 """
 
 from __future__ import annotations
@@ -220,7 +225,12 @@ def poly_xgcd(a: Polynomial, b: Polynomial):
 
 
 class Matrix:
-    """Immutable dense matrix with exact entries, row-major storage."""
+    """Immutable dense matrix with exact entries, row-major storage.
+
+    Storage is dense, but the arithmetic skips zeros: a product, ``kron``
+    and ``apply`` multiply only nonzero entries of both operands, and a
+    result cell that no product reaches is the shared ``Fraction(0)``.
+    """
 
     __slots__ = ("rows", "cols", "entries")
 
@@ -244,11 +254,13 @@ class Matrix:
 
     @staticmethod
     def identity(n: int) -> "Matrix":
-        return Matrix(n, n, [1 if i == j else 0 for i in range(n) for j in range(n)])
+        out = [_ZERO] * (n * n)
+        out[:: n + 1] = [_ONE] * n
+        return _matrix(n, n, out)
 
     @staticmethod
     def zeros(r: int, c: int) -> "Matrix":
-        return Matrix(r, c, [0] * (r * c))
+        return _matrix(r, c, (_ZERO,) * (r * c))
 
     @staticmethod
     def diagonal(values: Sequence) -> "Matrix":
@@ -259,15 +271,15 @@ class Matrix:
     def block_diag(blocks: Sequence["Matrix"]) -> "Matrix":
         r = sum(b.rows for b in blocks)
         c = sum(b.cols for b in blocks)
-        out = [[Fraction(0)] * c for _ in range(r)]
+        out = [_ZERO] * (r * c)
         i0 = j0 = 0
         for b in blocks:
             for i in range(b.rows):
-                for j in range(b.cols):
-                    out[i0 + i][j0 + j] = b[i, j]
+                at = (i0 + i) * c + j0
+                out[at : at + b.cols] = b.row(i)
             i0 += b.rows
             j0 += b.cols
-        return Matrix.from_rows(out)
+        return _matrix(r, c, out)
 
     @staticmethod
     def column_stack(columns: Sequence[Sequence]) -> "Matrix":
@@ -292,7 +304,7 @@ class Matrix:
 
     def vec(self) -> tuple:
         """Column-stacked vectorization."""
-        return tuple(self[i, j] for j in range(self.cols) for i in range(self.rows))
+        return self.transpose().entries
 
     @staticmethod
     def unvec(v: Sequence, rows: int, cols: int) -> "Matrix":
@@ -303,36 +315,46 @@ class Matrix:
     def __add__(self, other: "Matrix") -> "Matrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
-        return Matrix(self.rows, self.cols, [a + b for a, b in zip(self.entries, other.entries)])
+        return _matrix(self.rows, self.cols, [
+            (a + b if a else b) if b else a for a, b in zip(self.entries, other.entries)
+        ])
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
-        return Matrix(self.rows, self.cols, [a - b for a, b in zip(self.entries, other.entries)])
+        return _matrix(self.rows, self.cols, [
+            (a - b if a else -b) if b else a for a, b in zip(self.entries, other.entries)
+        ])
 
     def __neg__(self) -> "Matrix":
-        return Matrix(self.rows, self.cols, [-a for a in self.entries])
+        return _matrix(self.rows, self.cols, [-a if a else a for a in self.entries])
 
     def scale(self, c) -> "Matrix":
         c = _frac(c)
-        return Matrix(self.rows, self.cols, [c * a for a in self.entries])
+        if not c:
+            return Matrix.zeros(self.rows, self.cols)
+        return _matrix(self.rows, self.cols, [c * a if a else a for a in self.entries])
 
     def __mul__(self, other):
         if not isinstance(other, Matrix):
             return self.scale(other)
         if self.cols != other.rows:
             raise ValueError("shape mismatch in product")
-        out = [Fraction(0)] * (self.rows * other.cols)
+        n, m = self.cols, other.cols
+        # the nonzero (column, entry) pairs of each row of other
+        pairs = [[(j, x) for j, x in enumerate(other.row(k)) if x] for k in range(n)]
+        out = []
         for i in range(self.rows):
-            base = i * self.cols
-            for k in range(self.cols):
-                a = self.entries[base + k]
-                if a == 0:
-                    continue
-                ob = k * other.cols
-                for j in range(other.cols):
-                    out[i * other.cols + j] += a * other.entries[ob + j]
-        return Matrix(self.rows, other.cols, out)
+            # a cell is _ZERO until its first product lands; products are
+            # fresh objects, so the identity test never confuses the two
+            acc = [_ZERO] * m
+            for a, row in zip(self.row(i), pairs):
+                if a:
+                    for j, x in row:
+                        y = acc[j]
+                        acc[j] = a * x if y is _ZERO else y + a * x
+            out += acc
+        return _matrix(self.rows, m, out)
 
     def __rmul__(self, other):
         return self.scale(other)
@@ -352,44 +374,52 @@ class Matrix:
     def apply(self, v: Sequence) -> tuple:
         if len(v) != self.cols:
             raise ValueError("vector length mismatch")
-        return tuple(
-            sum((self[i, j] * _frac(v[j]) for j in range(self.cols)), Fraction(0))
-            for i in range(self.rows)
-        )
+        pairs = [(j, _frac(x)) for j, x in enumerate(v) if x]
+        out = []
+        for i in range(self.rows):
+            row = self.row(i)
+            acc = _ZERO
+            for j, x in pairs:
+                a = row[j]
+                if a:
+                    acc = a * x if acc is _ZERO else acc + a * x
+            out.append(acc)
+        return tuple(out)
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.cols, self.rows,
-                      [self[i, j] for j in range(self.cols) for i in range(self.rows)])
+        c = self.cols
+        return _matrix(c, self.rows, [x for j in range(c) for x in self.entries[j::c]])
 
     def kron(self, other: "Matrix") -> "Matrix":
         """Block matrix with self's entries multiplying copies of other."""
         r, c = self.rows * other.rows, self.cols * other.cols
-        out = [Fraction(0)] * (r * c)
+        out = [_ZERO] * (r * c)
+        # (offset in a block, entry) for the nonzero entries of other
+        pairs = [(k * c + l, x) for k in range(other.rows)
+                 for l, x in enumerate(other.row(k)) if x]
         for i in range(self.rows):
-            for j in range(self.cols):
-                a = self[i, j]
-                if a == 0:
-                    continue
-                for k in range(other.rows):
-                    for l in range(other.cols):
-                        out[(i * other.rows + k) * c + j * other.cols + l] = a * other[k, l]
-        return Matrix(r, c, out)
+            for j, a in enumerate(self.row(i)):
+                if a:
+                    base = i * other.rows * c + j * other.cols
+                    for off, x in pairs:
+                        out[base + off] = a * x
+        return _matrix(r, c, out)
 
     def embed(
         self, rows: int, cols: int, row_coords: Sequence[int], col_coords: Sequence[int]
     ) -> "Matrix":
         """The rows x cols matrix with self[i, j] at (row_coords[i],
         col_coords[j]) and zeros elsewhere."""
-        out = [Fraction(0)] * (rows * cols)
+        out = [_ZERO] * (rows * cols)
         for i, gi in enumerate(row_coords):
-            row = self.row(i)
-            for j, gj in enumerate(col_coords):
-                out[gi * cols + gj] = row[j]
-        return Matrix(rows, cols, out)
+            for gj, x in zip(col_coords, self.row(i)):
+                if x:
+                    out[gi * cols + gj] = x
+        return _matrix(rows, cols, out)
 
     @property
     def is_zero(self) -> bool:
-        return all(a == 0 for a in self.entries)
+        return not any(self.entries)
 
     def __eq__(self, other) -> bool:
         return (
@@ -404,6 +434,20 @@ class Matrix:
     def __repr__(self) -> str:
         body = "; ".join(" ".join(str(x) for x in self.row(i)) for i in range(self.rows))
         return f"Matrix[{self.rows}x{self.cols}: {body}]"
+
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+
+
+def _matrix(rows: int, cols: int, entries) -> Matrix:
+    """A Matrix over entries that are already Fractions, without coercing
+    them; the methods above build every result through it."""
+    m = object.__new__(Matrix)
+    m.rows = rows
+    m.cols = cols
+    m.entries = tuple(entries)
+    return m
 
 
 def row_reduce(m: Matrix):

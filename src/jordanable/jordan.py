@@ -251,12 +251,23 @@ def similarity_transform(
     conv: Convention = EPS1,
 ) -> tuple[Matrix, JordanForm]:
     """An invertible S with S t S^-1 = J(aleph_t), plus the canonical form."""
+    s, _s_inv, j = _similarity(t, hints, conv)
+    return s, j
+
+
+def _similarity(
+    t: Matrix,
+    hints: list[IrreduciblePoly] | None = None,
+    conv: Convention = EPS1,
+) -> tuple[Matrix, Matrix, JordanForm]:
+    """(S, S^-1, canonical form) with S t S^-1 = J(aleph_t); S^-1 is the
+    column-stacked chain basis, so callers that need it invert nothing."""
     filtrations = _filtrations(t, hints)
     a = _aleph_from(t, filtrations)
     if a.is_zero:
         # the zero-dimensional matrix; S is empty
         j = JordanForm(t, a, conv, ())
-        return Matrix.identity(0), j
+        return Matrix.identity(0), Matrix.identity(0), j
     columns: dict[tuple[IrreduciblePoly, int], list[list]] = {}
     for p, (pt, kers) in filtrations.items():
         counts = {n: m for (q, n), m in a.items() if q == p}
@@ -280,7 +291,7 @@ def similarity_transform(
     s = invert(s_inv)
     j = canonical_form(a, conv)
     verify(s * t == j.matrix * s, "similarity postcondition failed", check="similarity")
-    return s, j
+    return s, s_inv, j
 
 
 @dataclass(frozen=True)

@@ -28,9 +28,9 @@ from .field import (
 )
 from .jordan import (
     BlockIndex,
+    _similarity,
     block_layout,
     canonical_form,
-    similarity_transform,
 )
 from .multiplicity import (
     DilationGroup,
@@ -192,14 +192,14 @@ def classify_iso(
     """
     if t1.is_zero or t2.is_zero:
         raise ValueError("classification needs nonzero operators")
-    s1, j1 = similarity_transform(t1, hints, conv)
-    s2, j2 = similarity_transform(t2, hints, conv)
+    s1, _s1_inv, j1 = _similarity(t1, hints, conv)
+    _s2, s2_inv, j2 = _similarity(t2, hints, conv)
     lam = projectively_equal(j1.aleph, j2.aleph)
     if lam is None:
         return None
     v = v_aleph(lam, j1.aleph, conv)
     perm = _block_permutation(lam, j1.aleph, j2.aleph)
-    m = invert(s2) * perm * invert(v) * s1
+    m = s2_inv * perm * invert(v) * s1
     verify((m * t1).scale(lam) == t2 * m, "classification witness check failed",
            check="classify-witness")
     verify(matrix_rank(m) == m.rows, "classification witness is singular",

@@ -1,5 +1,6 @@
 """Structural matrices, intertwiners, and the three operator equations."""
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -27,6 +28,7 @@ from jordanable.equations import (
     w_matrix,
 )
 from jordanable.field import invert
+from jordanable.liealg import classify_iso
 from jordanable.oracle import EquationSpec, brute_solve
 from jordanable.spectrum import star_irreducible
 from .conftest import irr, mat
@@ -239,3 +241,46 @@ class TestTransposePair:
         j = canonical_form(mautner_aleph, EPS0).matrix
         want = brute_solve(EquationSpec.transpose_pair(j))
         assert same_space(s, want)
+
+
+class TestNoReinversion:
+    """The similarity transform hands S^-1 to its callers: a conjugated query
+    inverts once per transform, and classify_iso once more for V(lam)."""
+
+    @pytest.fixture
+    def inversions(self, monkeypatch):
+        calls = []
+
+        def counting(m):
+            calls.append(m.rows)
+            return invert(m)
+
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("jordanable") and getattr(mod, "invert", None) is invert:
+                monkeypatch.setattr(mod, "invert", counting)
+        return calls
+
+    @staticmethod
+    def conjugated(j: Matrix) -> Matrix:
+        r = mat([[1, 0, 0, 0], [1, 1, 0, 0], [-1, 2, 1, 0], [0, 1, -1, 1]])
+        return invert(r) * j * r
+
+    def test_lambda_comm(self, inversions):
+        t = self.conjugated(mat([[2, 1, 0, 0], [0, 2, 0, 0], [0, 0, -2, 0], [0, 0, 0, 1]]))
+        inversions.clear()
+        assert solve_lambda_comm(t, -1).dim == 2
+        assert inversions == [4]
+
+    def test_inhom_comm(self, inversions):
+        t = self.conjugated(mat([[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 0], [0, 0, 0, 0]]))
+        inversions.clear()
+        assert solve_inhom_comm(t) is not None
+        assert inversions == [4]
+
+    def test_classify_iso(self, inversions):
+        j = mat([[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, 3]])
+        t1, t2 = j, self.conjugated(j.scale(-2))
+        inversions.clear()
+        lam, _m = classify_iso(t1, t2)
+        assert lam == -2
+        assert inversions == [4, 4, 4]  # S1, S2 and V(lam; aleph)

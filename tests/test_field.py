@@ -23,6 +23,7 @@ rationals = st.fractions(
     min_value=-10, max_value=10, max_denominator=6
 )
 poly_coeffs = st.lists(rationals, min_size=0, max_size=5)
+nonzero_rationals = rationals.filter(bool)
 
 
 def P(*coeffs):
@@ -174,3 +175,147 @@ class TestMatrix:
         assert independent([])
         assert independent([[1, 0, 1], [0, 1, 1]])
         assert not independent([[1, 2], [2, 4]])
+
+
+# -- Matrix arithmetic against a plain Fraction-list reference -------------
+
+
+@st.composite
+def sparse_rows(draw, rows=None, cols=None):
+    """A rows x cols list of lists, all-zero to dense; whole entries are ints,
+    so that the public constructor's coercion is exercised too."""
+    r = draw(st.integers(0, 5)) if rows is None else rows
+    c = draw(st.integers(0, 5)) if cols is None else cols
+    density = draw(st.integers(0, 4))  # quarters of nonzero entries, on average
+    def entry():
+        if draw(st.integers(0, 3)) >= density:
+            return 0
+        x = draw(nonzero_rationals)
+        return int(x) if x.denominator == 1 else x
+    return [[entry() for _ in range(c)] for _ in range(r)]
+
+
+def as_matrix(rows, cols) -> Matrix:
+    return Matrix(len(rows), cols, [x for row in rows for x in row])
+
+
+def ref_mul(a, b, inner, cols):
+    return [[sum((Fraction(row[k]) * b[k][j] for k in range(inner)), Fraction(0))
+             for j in range(cols)] for row in a]
+
+
+def ref_kron(a, b, a_cols, b_cols):
+    return [[Fraction(a[i][j]) * b[k][l] for j in range(a_cols) for l in range(b_cols)]
+            for i in range(len(a)) for k in range(len(b))]
+
+
+def exact(m: Matrix, rows):
+    """m equals the reference rows and holds nothing but Fractions."""
+    assert all(type(x) is Fraction for x in m.entries)
+    assert m.to_rows() == [[Fraction(x) for x in row] for row in rows]
+    return True
+
+
+class TestMatrixAgainstReference:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_product(self, data):
+        r, k, c = (data.draw(st.integers(0, 5)) for _ in range(3))
+        a, b = data.draw(sparse_rows(r, k)), data.draw(sparse_rows(k, c))
+        assert exact(as_matrix(a, k) * as_matrix(b, c), ref_mul(a, b, k, c))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_product_cancelling_to_zero(self, data):
+        # [A | A] [B; -B] = A B - A B: every cell's products cancel exactly
+        r, k, c = (data.draw(st.integers(0, 5)) for _ in range(3))
+        a, b = data.draw(sparse_rows(r, k)), data.draw(sparse_rows(k, c))
+        left = as_matrix([row + row for row in a], 2 * k)
+        right = as_matrix(b + [[-x for x in row] for row in b], c)
+        product = left * right
+        assert exact(product, [[0] * c for _ in range(r)])
+        assert product.is_zero and product == Matrix.zeros(r, c)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data(), rationals)
+    def test_entrywise(self, data, c):
+        r, k = data.draw(st.integers(0, 5)), data.draw(st.integers(0, 5))
+        a, b = data.draw(sparse_rows(r, k)), data.draw(sparse_rows(r, k))
+        ma, mb = as_matrix(a, k), as_matrix(b, k)
+        pairs = [list(zip(ra, rb)) for ra, rb in zip(a, b)]
+        assert exact(ma + mb, [[Fraction(x) + y for x, y in row] for row in pairs])
+        assert exact(ma - mb, [[Fraction(x) - y for x, y in row] for row in pairs])
+        assert exact(-ma, [[-Fraction(x) for x in row] for row in a])
+        scaled = [[c * x for x in row] for row in a]
+        assert exact(ma.scale(c), scaled)
+        assert exact(ma * c, scaled) and exact(c * ma, scaled)
+        assert exact(ma * int(c), [[int(c) * x for x in row] for row in a])
+        assert exact(ma.transpose(), [[a[i][j] for i in range(r)] for j in range(k)])
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_kron_embed_apply(self, data):
+        r, k = data.draw(st.integers(0, 5)), data.draw(st.integers(0, 5))
+        r2, k2 = data.draw(st.integers(0, 3)), data.draw(st.integers(0, 3))
+        a, b = data.draw(sparse_rows(r, k)), data.draw(sparse_rows(r2, k2))
+        ma = as_matrix(a, k)
+        assert exact(ma.kron(as_matrix(b, k2)), ref_kron(a, b, k, k2))
+
+        big_r, big_c = r + data.draw(st.integers(0, 2)), k + data.draw(st.integers(0, 2))
+        row_coords = data.draw(st.permutations(range(big_r)))[:r]
+        col_coords = data.draw(st.permutations(range(big_c)))[:k]
+        want = [[0] * big_c for _ in range(big_r)]
+        for i, gi in enumerate(row_coords):
+            for j, gj in enumerate(col_coords):
+                want[gi][gj] = a[i][j]
+        assert exact(ma.embed(big_r, big_c, row_coords, col_coords), want)
+
+        v = data.draw(sparse_rows(1, k))[0] if r else [0] * k
+        got = ma.apply(v)
+        assert all(type(x) is Fraction for x in got)
+        assert [[x] for x in got] == ref_mul(a, [[x] for x in v], k, 1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data(), poly_coeffs)
+    def test_polynomial_at_matrix(self, data, coeffs):
+        n = data.draw(st.integers(0, 5))
+        a = data.draw(sparse_rows(n, n))
+        want = [[0] * n for _ in range(n)]
+        for c in reversed(Polynomial(coeffs).coeffs):  # Horner, by reference
+            want = ref_mul(want, a, n, n)
+            for i in range(n):
+                want[i][i] += c
+        assert exact(Polynomial(coeffs)(as_matrix(a, n)), want)
+
+    def test_identity_and_zeros_are_exact(self):
+        for n in range(4):
+            assert exact(Matrix.identity(n), [[int(i == j) for j in range(n)] for i in range(n)])
+            assert exact(Matrix.zeros(n, 2), [[0, 0]] * n)
+
+
+class CountingFraction(Fraction):
+    """A Fraction that counts the products it takes part in; as a subclass,
+    its reflected __rmul__ runs before a plain Fraction's __mul__."""
+
+    products = 0
+
+    def __mul__(self, other):
+        CountingFraction.products += 1
+        return super().__mul__(other)
+
+    def __rmul__(self, other):
+        CountingFraction.products += 1
+        return super().__rmul__(other)
+
+
+def test_product_with_jordan_matrix_skips_its_zeros():
+    # J(X - 2, 30) has 59 nonzeros: a product with it must not cost a dense n^3
+    n = 30
+    j = Matrix(n, n, [CountingFraction(2 if i == k else 1 if k == i + 1 else 0)
+                      for i in range(n) for k in range(n)])
+    d = Matrix(n, n, [Fraction(i * n + k + 1, k + 2) for i in range(n) for k in range(n)])
+    for left, right in ((d, j), (j, d)):
+        CountingFraction.products = 0
+        product = left * right
+        assert CountingFraction.products <= 2 * n * n
+        assert product == Matrix.from_rows(ref_mul(left.to_rows(), right.to_rows(), n, n))
