@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import ZeroMultiplicityFunction, verify
-from .field import Matrix, _frac, span_contains
+from .field import _ONE, _ZERO, Matrix, _frac, _matrix, span_contains
 from .jordan import Block, JordanForm, _similarity, block_layout, canonical_form
 from .multiplicity import MultiplicityFunction
 from .spectrum import (
@@ -113,9 +113,9 @@ def nilpotent_intertwiners(m: int, n: int) -> SolutionSpace:
     basis = []
     for d in range(max(0, m - n), m):
         entries = [
-            1 if j - i == d else 0 for i in range(n) for j in range(m)
+            _ONE if j - i == d else _ZERO for i in range(n) for j in range(m)
         ]
-        basis.append(Matrix(n, m, entries))
+        basis.append(_matrix(n, m, entries))
     return SolutionSpace((n, m), tuple(basis))
 
 

@@ -13,7 +13,7 @@ one multiplication per pair of nonzeros that meet, not n^3.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 
 def _frac(x) -> Fraction:
@@ -285,6 +285,8 @@ class Matrix:
     def column_stack(columns: Sequence[Sequence]) -> "Matrix":
         c = len(columns)
         r = len(columns[0]) if c else 0
+        if any(len(col) != r for col in columns):
+            raise ValueError("ragged columns")
         return Matrix(r, c, [columns[j][i] for i in range(r) for j in range(c)])
 
     # -- access -------------------------------------------------------
@@ -450,22 +452,31 @@ def _matrix(rows: int, cols: int, entries) -> Matrix:
     return m
 
 
-def row_reduce(m: Matrix):
-    """Reduced row echelon form with kernel and transform.
+class RowReduction(NamedTuple):
+    """One elimination of m: the strictly increasing pivot columns, the
+    reduced row echelon form (row i leads with 1 in column pivots[i]), a
+    right-nullspace basis (one vector per free column, in order) and the
+    invertible transform with transform * m == rref."""
 
-    Returns (rank, rref, kernel_basis, transform) where transform*m = rref,
-    kernel_basis spans the right nullspace, and rank + len(kernel) = cols.
-    """
+    pivots: tuple[int, ...]
+    rref: Matrix
+    kernel: list[tuple]
+    transform: Matrix
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivots)
+
+
+def row_reduce(m: Matrix) -> RowReduction:
+    """One Gauss-Jordan elimination of m, returned as the RowReduction
+    (pivots, rref, kernel, transform); rank + len(kernel) == m.cols."""
     a = m.to_rows()
     t = Matrix.identity(m.rows).to_rows()
     rank = 0
     pivots: list[int] = []
     for col in range(m.cols):
-        piv = None
-        for i in range(rank, m.rows):
-            if a[i][col] != 0:
-                piv = i
-                break
+        piv = next((i for i in range(rank, m.rows) if a[i][col]), None)
         if piv is None:
             continue
         a[rank], a[piv] = a[piv], a[rank]
@@ -482,21 +493,19 @@ def row_reduce(m: Matrix):
         rank += 1
         if rank == m.rows:
             break
-    pivot_set = set(pivots)
     kernel = []
-    for free in range(m.cols):
-        if free in pivot_set:
-            continue
-        v = [Fraction(0)] * m.cols
-        v[free] = Fraction(1)
+    for free in sorted(set(range(m.cols)) - set(pivots)):
+        v = [_ZERO] * m.cols
+        v[free] = _ONE
         for r, pc in enumerate(pivots):
             v[pc] = -a[r][free]
         kernel.append(tuple(v))
-    return rank, Matrix.from_rows(a) if m.rows else m, kernel, Matrix.from_rows(t) if m.rows else Matrix.identity(0)
+    return RowReduction(tuple(pivots), _matrix(m.rows, m.cols, [x for r in a for x in r]),
+                        kernel, _matrix(m.rows, m.rows, [x for r in t for x in r]))
 
 
 def matrix_rank(m: Matrix) -> int:
-    return row_reduce(m)[0]
+    return row_reduce(m).rank
 
 
 def solve_linear(m: Matrix, b: Sequence) -> Optional[tuple[tuple, list[tuple]]]:
@@ -507,19 +516,12 @@ def solve_linear(m: Matrix, b: Sequence) -> Optional[tuple[tuple, list[tuple]]]:
     """
     if len(b) != m.rows:
         raise ValueError("right-hand side length mismatch")
-    aug = Matrix(m.rows, m.cols + 1,
-                 [x for i in range(m.rows) for x in (*m.row(i), _frac(b[i]))])
-    rank, rref, aug_kernel, _ = row_reduce(aug)
-    pivots = []
-    for i in range(rank):
-        row = rref.row(i)
-        for j, x in enumerate(row):
-            if x != 0:
-                pivots.append(j)
-                break
+    aug = _matrix(m.rows, m.cols + 1,
+                  [x for i in range(m.rows) for x in (*m.row(i), _frac(b[i]))])
+    pivots, rref, aug_kernel, _ = row_reduce(aug)
     if pivots and pivots[-1] == m.cols:
         return None  # pivot in the augmented column: inconsistent
-    particular = [Fraction(0)] * m.cols
+    particular = [_ZERO] * m.cols
     for i, pc in enumerate(pivots):
         particular[pc] = rref[i, m.cols]
     # the augmented column is free and last, so the other kernel vectors of
@@ -531,22 +533,17 @@ def solve_linear(m: Matrix, b: Sequence) -> Optional[tuple[tuple, list[tuple]]]:
 def invert(m: Matrix) -> Matrix:
     if m.rows != m.cols:
         raise ValueError("inverse of non-square matrix")
-    rank, _, _, t = row_reduce(m)
-    if rank != m.rows:
+    red = row_reduce(m)
+    if red.rank != m.rows:
         raise ValueError("matrix is singular")
-    return t
+    return red.transform
 
 
-def span_contains(basis: list[tuple], v: Sequence) -> bool:
-    """Membership of v in the span of the given vectors."""
-    if not basis:
-        return all(_frac(x) == 0 for x in v)
-    mat = Matrix.column_stack([list(b) for b in basis])
-    return solve_linear(mat, list(v)) is not None
+def span_contains(basis: list[Sequence], v: Sequence) -> bool:
+    """Membership of v in the span of the given vectors: v's column of
+    [basis | v] is not a pivot."""
+    return len(basis) not in row_reduce(Matrix.column_stack([*basis, v])).pivots
 
 
 def independent(vectors: list[Sequence]) -> bool:
-    if not vectors:
-        return True
-    mat = Matrix.column_stack([list(v) for v in vectors])
-    return matrix_rank(mat) == len(vectors)
+    return row_reduce(Matrix.column_stack(vectors)).rank == len(vectors)

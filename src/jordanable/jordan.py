@@ -23,7 +23,6 @@ from .field import (
     poly_divmod,
     poly_xgcd,
     row_reduce,
-    span_contains,
 )
 from .multiplicity import MultiplicityFunction
 from .spectrum import (
@@ -214,30 +213,27 @@ def _chain_tops(
     counts: dict[int, int],
     basis_ops: list[Matrix],
 ) -> dict[int, list[tuple]]:
-    """Choose chain-top vectors of each height for one factor p, given
+    """Choose the chain tops of each height n for one factor p, given
     a = p(t) and kers[k] = ker a^k for k = 0..e+1.
 
-    At height n a valid top must avoid the span of ker p(t)^(n-1), of
-    p(t) ker p(t)^(n+1), and of the extension-field spans of tops already
-    chosen at this height; that span is closed under the lifted-root
-    action, so avoiding it guarantees independence over the extension.
+    A top must avoid the guard, span(ker a^(n-1) + a ker a^(n+1)), and the
+    extension-field spans of the tops kept before it; that keeps the tops
+    independent over the extension.  One reduction of
+    [guard | op(c) for c in kers[n] for op in basis_ops] decides every
+    candidate c at once: span(guard) is t-invariant, so it is closed under
+    the extension action, and basis_ops[0] is the identity, so c's own
+    column comes before its extension images and is a pivot exactly when c
+    avoids the guard and the extension spans of the earlier kept
+    candidates.  The first `want` such c are the tops that choosing one
+    candidate at a time, in order, would keep.
     """
     tops: dict[int, list[tuple]] = {}
-    for n in range(len(kers) - 2, 0, -1):
-        want = counts.get(n, 0)
-        tops[n] = []
-        if want == 0:
-            continue
-        guard: list[tuple] = list(kers[n - 1])
-        guard.extend(a.apply(v) for v in kers[n + 1])
-        for cand in kers[n]:
-            if len(tops[n]) == want:
-                break
-            if guard and span_contains(guard, cand):
-                continue
-            tops[n].append(cand)
-            for op in basis_ops:
-                guard.append(op.apply(cand))
+    for n, want in counts.items():
+        guard = [*kers[n - 1], *(a.apply(v) for v in kers[n + 1])]
+        images = [op.apply(c) for c in kers[n] for op in basis_ops]
+        pivots = set(row_reduce(Matrix.column_stack(guard + images)).pivots)
+        own = range(len(guard), len(guard) + len(images), len(basis_ops))
+        tops[n] = [c for c, col in zip(kers[n], own) if col in pivots][:want]
         if len(tops[n]) != want:
             raise VerificationFailed(
                 "could not find enough chain tops", check="chain-tops", height=n
@@ -276,7 +272,7 @@ def _similarity(
         basis_ops = ext_basis_matrices(p, conv, xhat)
         tops = _chain_tops(pt, kers, counts, basis_ops)
         for n in sorted(counts):
-            for v in tops.get(n, []):
+            for v in tops[n]:
                 chain = [v]  # nil^(n-m) v for m = n down to 1
                 for _ in range(n - 1):
                     chain.append(nil.apply(chain[-1]))
@@ -376,20 +372,18 @@ def check_invariant_and_restrict(
 ) -> Optional[MultiplicityFunction]:
     """Multiplicity function of t restricted to span(w), or None if not invariant.
 
-    With W the basis as columns, span(w) is invariant iff [W | t W] has
-    rank k = dim W; the reduced form is then (I R; 0 0) with t W = W R.
+    One reduction of [W | t W], W the k = len(w) vectors as columns,
+    answers both questions: w is independent iff the first k pivots are
+    columns 0..k-1, and span(w) is invariant iff the rank is k; the
+    reduced form is then (I R; 0 0) with t W = W R.
     """
     if t.rows != t.cols:
         raise ValueError("invariance check of non-square matrix")
-    vectors = [list(v) for v in w]
-    if not vectors:
-        return MultiplicityFunction(())
-    if not independent(vectors):
+    k = len(w)
+    red = row_reduce(Matrix.column_stack([*w, *(t.apply(v) for v in w)]))
+    if red.pivots[:k] != tuple(range(k)):
         raise ValueError("dependent spanning set")
-    images = [list(t.apply(v)) for v in vectors]
-    k = len(vectors)
-    rank, rref, _, _ = row_reduce(Matrix.column_stack(vectors + images))
-    if rank != k:
+    if red.rank != k:
         return None
-    restriction = Matrix(k, k, [rref[i, k + c] for i in range(k) for c in range(k)])
+    restriction = Matrix(k, k, [red.rref[i, k + c] for i in range(k) for c in range(k)])
     return multiplicity_of(restriction, hints)

@@ -20,8 +20,8 @@ from .errors import (
 from .field import (
     Matrix,
     _frac,
+    _matrix,
     format_terms,
-    independent,
     invert,
     matrix_rank,
     row_reduce,
@@ -317,11 +317,11 @@ def _blocks(l: AlmostAbelianAlgebra, m: Matrix) -> tuple:
     if (m.rows, m.cols) != (size, size):
         raise ValueError(f"expected a {size}x{size} coordinate matrix")
     n = size - 1
-    rows = m.to_rows()
-    b = Matrix(1, n, rows[0][1:])
-    c = Matrix(n, 1, [r[0] for r in rows[1:]])
-    delta = Matrix(n, n, [x for r in rows[1:] for x in r[1:]])
-    return rows[0][0], b, c, delta
+    e = m.entries
+    b = _matrix(1, n, e[1:size])
+    c = _matrix(n, 1, e[size::size])
+    delta = _matrix(n, n, [x for i in range(1, size) for x in m.row(i)[1:]])
+    return e[0], b, c, delta
 
 
 def _wedge_free(b: Matrix, m: Matrix) -> bool:
@@ -454,7 +454,7 @@ def casimir_basis(l: AlmostAbelianAlgebra) -> list[CasimirElement]:
     checked once.
     """
     zs = _transpose_pair_basis(l.form)
-    kernel = row_reduce(Matrix.column_stack([(z - z.transpose()).vec() for z in zs]))[2]
+    kernel = row_reduce(Matrix.column_stack([(z - z.transpose()).vec() for z in zs])).kernel
     j = l.form.matrix
     jt = j.transpose()
     out = []
@@ -468,11 +468,14 @@ def casimir_basis(l: AlmostAbelianAlgebra) -> list[CasimirElement]:
 
 
 def _closed(vectors: Sequence[Sequence], brackets: Callable[[list], list]) -> bool:
-    """span(vectors) holds every vector of brackets(W): rank [W | brackets] = dim W."""
-    vecs = [[_frac(c) for c in v] for v in vectors]
-    if not independent(vecs):
+    """span(vectors) holds every vector of brackets(W), by one reduction of
+    [W | brackets(W)]: W is independent iff its k columns are the first k
+    pivots, and closed iff the rank is k."""
+    k = len(vectors)
+    red = row_reduce(Matrix.column_stack([*vectors, *brackets(vectors)]))
+    if red.pivots[:k] != tuple(range(k)):
         raise ValueError("dependent spanning set")
-    return matrix_rank(Matrix.column_stack(vecs + brackets(vecs))) == len(vecs)
+    return red.rank == k
 
 
 def check_subalgebra(l: AlmostAbelianAlgebra, vectors: Sequence[Sequence]) -> bool:

@@ -77,7 +77,7 @@ def _check_cap(rows: int, cols: int):
 def _nullspace_solution(m: Matrix, shape: tuple[int, int], rhs=None) -> Optional[SolutionSpace]:
     rows, cols = shape
     if rhs is None:
-        kernel = row_reduce(m)[2]
+        kernel = row_reduce(m).kernel
         basis = tuple(Matrix.unvec(v, rows, cols) for v in kernel)
         return SolutionSpace(shape, basis)
     sol = solve_linear(m, rhs)

@@ -471,6 +471,10 @@ class TestErrorPaths:
              "subspace vectors must all have the same length"),
             (["invsub", "check", "{m}", "{f}"], [[1], [0, 1]],
              "subspace vectors must all have the same length"),
+            # dependent and of the wrong length: the one reduction of
+            # [W | t W] needs t W first, so the length is what gets reported
+            (["invsub", "check", "{m}", "{f}"], [[1, 2, 3], [2, 4, 6]],
+             "vector length mismatch"),
             (["jordanize", "{f}"], [[]], "matrix rows must be nonempty"),
             (["classify", "{f}", "{m}"], [[]], "matrix rows must be nonempty"),
             (["oracle", "solve", "{f}"], {"kind": "transpose-pair", "j": [[1], [2]]},
@@ -490,6 +494,7 @@ class TestErrorPaths:
         ],
         ids=["oracle-spec-list", "make-spec-list", "make-mu-int", "check-basis-int",
              "check-ragged-short-last", "check-ragged-short-first",
+             "check-dependent-wrong-length",
              "jordanize-empty-row", "classify-empty-row",
              "oracle-transpose-pair-2x1", "oracle-symmetric-transpose-pair-1x2",
              "oracle-intertwine-1x2", "oracle-inhom-comm-1x2",

@@ -16,7 +16,7 @@ from jordanable import (
     row_reduce,
     solve_linear,
 )
-from jordanable.field import independent
+from jordanable.field import independent, span_contains
 from .conftest import mat
 
 rationals = st.fractions(
@@ -127,10 +127,10 @@ class TestMatrix:
 
     def test_row_reduce_kernel(self):
         m = mat([[1, 2, 3], [2, 4, 6]])
-        rank, _rref, kernel, _t = row_reduce(m)
-        assert rank == 1
-        assert len(kernel) == 2
-        for v in kernel:
+        red = row_reduce(m)
+        assert red.rank == 1
+        assert len(red.kernel) == 2
+        for v in red.kernel:
             assert all(x == 0 for x in m.apply(v))
 
     def test_solve_linear(self):
@@ -161,6 +161,35 @@ class TestMatrix:
         assert list(m.apply(particular)) == b
         assert kernel == row_reduce(m)[2]
 
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.tuples(st.integers(0, 4), st.integers(0, 4)).flatmap(lambda rc: st.tuples(
+            st.lists(st.one_of(st.just(Fraction(0)), rationals),
+                     min_size=rc[0] * rc[1], max_size=rc[0] * rc[1]),
+            st.lists(rationals, min_size=rc[0], max_size=rc[0]),
+            st.lists(rationals, min_size=rc[1], max_size=rc[1]),
+        ).map(lambda t: (rc, *t)))
+    )
+    def test_row_reduce_record(self, case):
+        (r, c), entries, v, x = case
+        m = Matrix(r, c, entries)
+        red = row_reduce(m)
+        assert list(red.pivots) == sorted(set(red.pivots))
+        assert red.rank == len(red.pivots) == c - len(red.kernel)
+        for i, pc in enumerate(red.pivots):
+            assert red.rref.column(pc) == tuple(int(k == i) for k in range(r))
+        assert red.transform * m == red.rref
+        for k in red.kernel:
+            assert not any(m.apply(k))
+        # the span and independence readers agree with solve_linear and
+        # matrix_rank, on the empty basis (c = 0), zero and in-span vectors
+        columns = [m.column(j) for j in range(c)]
+        for w in (v, [0] * r, m.apply(x)):
+            assert span_contains(columns, w) == (solve_linear(m, w) is not None)
+        assert span_contains(columns, [0] * r)
+        assert span_contains(columns, m.apply(x))
+        assert independent(columns) == (matrix_rank(m) == c)
+
     def test_invert(self):
         m = mat([[1, 2], [3, 5]])
         assert m * invert(m) == Matrix.identity(2)
@@ -170,6 +199,13 @@ class TestMatrix:
     def test_rank(self):
         assert matrix_rank(Matrix.identity(4)) == 4
         assert matrix_rank(Matrix.zeros(3, 3)) == 0
+
+    def test_span_contains_length_mismatch(self):
+        # one column_stack of [basis | v] must reject a v of another length,
+        # not truncate it
+        for v in ((1, 0, 5), (1,)):
+            with pytest.raises(ValueError):
+                span_contains([(1, 0)], v)
 
     def test_independent(self):
         assert independent([])

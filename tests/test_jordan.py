@@ -6,14 +6,18 @@ import pytest
 
 from jordanable import (
     EPS0,
+    AlmostAbelianAlgebra,
     Convention,
     InvariantSubspaceSpec,
     Matrix,
     ZeroMultiplicityFunction,
     aleph,
     canonical_form,
+    check_ideal,
     check_invariant_and_restrict,
+    check_subalgebra,
     invariant_subspace_from,
+    invert,
     jordan_block,
     multiplicity_of,
     nilpotent_shift,
@@ -152,6 +156,48 @@ class TestSimilarityTransform:
         assert s * t == j2.matrix * s
 
 
+# (X^2 + 1, 2) x 2 + (X - 1, 1) x 2 conjugated by a unimodular matrix:
+# both factors have two chains of one height, so choosing the tops in
+# another order would give another S; X^2 + 1 has the same companion at
+# eps = 1 and eps = 0, so both conventions pin the same J and S
+ROTATION_CHAINS_T = [
+    [0, 1, 1, 0, 0, 2, 0, 0, 2, 0],
+    [-3, 0, 1, 1, -1, 0, 2, 0, 2, 0],
+    [-2, 0, 1, 1, 1, 0, 0, 0, 4, 0],
+    [2, 2, 0, -1, -1, 5, 0, 1, -6, 0],
+    [0, 0, 0, 0, 0, -1, 0, -1, 2, 0],
+    [0, 0, 0, 0, 1, 0, -1, 0, 2, 0],
+    [0, 0, 0, 0, 0, 0, 0, 1, 0, 0],
+    [0, 0, 0, 0, 0, 0, -1, 0, 0, 0],
+    [0, 0, 0, 0, 0, 0, 0, 0, 1, 0],
+    [0, 0, 0, 0, 0, 0, 2, 2, 0, 1],
+]
+ROTATION_CHAINS_ALEPH = [{"p": [1, 0, 1], "n": 2, "mult": 2}, {"p": [-1, 1], "n": 1, "mult": 2}]
+ROTATION_CHAINS_J = [
+    [0, -1, 1, 0, 0, 0, 0, 0, 0, 0],
+    [1, 0, 0, 1, 0, 0, 0, 0, 0, 0],
+    [0, 0, 0, -1, 0, 0, 0, 0, 0, 0],
+    [0, 0, 1, 0, 0, 0, 0, 0, 0, 0],
+    [0, 0, 0, 0, 0, -1, 1, 0, 0, 0],
+    [0, 0, 0, 0, 1, 0, 0, 1, 0, 0],
+    [0, 0, 0, 0, 0, 0, 0, -1, 0, 0],
+    [0, 0, 0, 0, 0, 0, 1, 0, 0, 0],
+    [0, 0, 0, 0, 0, 0, 0, 0, 1, 0],
+    [0, 0, 0, 0, 0, 0, 0, 0, 0, 1],
+]
+ROTATION_CHAINS_S = [
+    [0, "-1/2", "1/4", 0, 0, -1, 0, 0, 0, 0],
+    [0, 0, "-1/4", "-1/4", "-1/4", 0, 0, 0, 0, 0],
+    [1, 0, "-1/2", "-1/2", "-1/2", 0, 0, 0, -2, 0],
+    [0, 0, "-1/2", 0, 0, 0, 0, 0, 0, 0],
+    [0, 0, 0, 0, 0, -1, 0, 0, 2, 0],
+    [0, 0, 0, 0, 1, 0, 0, 0, 0, 0],
+    [0, 0, 0, 0, 0, 0, 1, 0, 0, 0],
+    [0, 0, 0, 0, 0, 0, 0, -1, 0, 0],
+    [0, 0, 0, 0, 0, 0, 0, 0, 1, 0],
+    [0, 0, 0, 0, 0, 0, 0, 2, 0, 1],
+]
+
 # (T, convention, aleph, J, S) in the JSON wire format; S pins the choice
 # of chain tops, not only the similarity identity
 SIMILARITY_GOLDEN = {
@@ -175,6 +221,12 @@ SIMILARITY_GOLDEN = {
         [{"p": [1, 0, 1], "n": 1, "mult": 1}, {"p": [4, 0, 1], "n": 1, "mult": 1}],
         [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -2], [0, 0, 2, 0]],
         [[0, 1, -1, 0], [-1, -1, 0, 0], [0, 0, 1, 1], [1, 1, 0, 1]],
+    ),
+    "rotation-chains": (
+        ROTATION_CHAINS_T, 1, ROTATION_CHAINS_ALEPH, ROTATION_CHAINS_J, ROTATION_CHAINS_S,
+    ),
+    "rotation-chains-eps0": (
+        ROTATION_CHAINS_T, 0, ROTATION_CHAINS_ALEPH, ROTATION_CHAINS_J, ROTATION_CHAINS_S,
     ),
 }
 
@@ -222,6 +274,59 @@ class TestSimilarityGolden:
         powers = [t**k for k in (1, 2, 3)]
         powers += [(t - Matrix.identity(3).scale(2)) ** k for k in (1, 2)]
         assert [sum(m == p for m in reduced) for p in powers] == [1] * 5
+
+    def test_one_reduction_per_question(self, monkeypatch):
+        import jordanable.field as field_mod
+        import jordanable.jordan as jordan_mod
+        import jordanable.liealg as liealg_mod
+
+        reduced = []
+        original_row_reduce = field_mod.row_reduce
+
+        def recording_row_reduce(m):
+            reduced.append(m)
+            return original_row_reduce(m)
+
+        for mod in (field_mod, jordan_mod, liealg_mod):
+            monkeypatch.setattr(mod, "row_reduce", recording_row_reduce)
+
+        per_tops: list[int] = []
+        original_chain_tops = jordan_mod._chain_tops
+
+        def counting_chain_tops(*args):
+            start = len(reduced)
+            tops = original_chain_tops(*args)
+            per_tops.append(len(reduced) - start)
+            return tops
+
+        monkeypatch.setattr(jordan_mod, "_chain_tops", counting_chain_tops)
+        t = ser.matrix_from_json(ROTATION_CHAINS_T)
+        s, j = similarity_transform(t)
+        # each factor wants tops at one height: one reduction each
+        assert per_tops == [1, 1]
+
+        # reductions made before the restriction's own filtration starts
+        entry: list[int] = []
+        original_multiplicity_of = jordan_mod.multiplicity_of
+
+        def multiplicity_entry(*args):
+            entry.append(len(reduced))
+            return original_multiplicity_of(*args)
+
+        monkeypatch.setattr(jordan_mod, "multiplicity_of", multiplicity_entry)
+        s_inv = invert(s)
+        reduced.clear()
+        # the two X - 1 eigenvectors, the last two chain-basis columns
+        w = [s_inv.column(8), s_inv.column(9)]
+        assert check_invariant_and_restrict(t, w) == aleph((irr("X - 1"), 1, 2))
+        assert entry == [1]
+
+        l = AlmostAbelianAlgebra(j.aleph)
+        v = [l.unit(i) for i in range(1, l.dimension)]
+        for check in (check_subalgebra, check_ideal):
+            reduced.clear()
+            assert check(l, v)
+            assert len(reduced) == 1
 
 
 class TestInvariantSubspaces:
