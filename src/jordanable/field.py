@@ -545,5 +545,15 @@ def span_contains(basis: list[Sequence], v: Sequence) -> bool:
     return len(basis) not in row_reduce(Matrix.column_stack([*basis, v])).pivots
 
 
-def independent(vectors: list[Sequence]) -> bool:
-    return row_reduce(Matrix.column_stack(vectors)).rank == len(vectors)
+def coordinates(w: Sequence[Sequence], images: Sequence[Sequence]) -> Optional[Matrix]:
+    """The R with images = W R, W the k vectors w as columns, or None when
+    some image is outside span(w).  One reduction of [W | images] answers
+    both: w is independent iff its columns are the first k pivots, and the
+    images lie in span(w) iff the rank is k; R is then rref's top right."""
+    k, c = len(w), len(images)
+    red = row_reduce(Matrix.column_stack([*w, *images]))
+    if red.pivots[:k] != tuple(range(k)):
+        raise ValueError("dependent spanning set")
+    if red.rank != k:
+        return None
+    return _matrix(k, c, [red.rref[i, k + j] for i in range(k) for j in range(c)])

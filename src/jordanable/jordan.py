@@ -18,7 +18,7 @@ from .errors import VerificationFailed, ZeroMultiplicityFunction, verify
 from .field import (
     Matrix,
     Polynomial,
-    independent,
+    coordinates,
     invert,
     poly_divmod,
     poly_xgcd,
@@ -297,6 +297,8 @@ class InvariantSubspaceSpec:
     ``mu`` maps (p, n, beta, k, alpha, shift) to a rational coefficient;
     the generated chain eta^m uses, for each source block (p, k, alpha),
     the chain vector at position m - shift scaled by that coefficient.
+    The span is J-invariant when every term of a target chain of length n
+    taken from a source chain of length k < n has shift >= n - k.
     """
 
     beth: MultiplicityFunction
@@ -362,28 +364,22 @@ def invariant_subspace_from(
                         raise ValueError(f"no source block ({p}, {k}, {alpha})")
                     eta = [x + val * y for x, y in zip(eta, chain[l - 1])]
                 vectors.extend(op.apply(eta) for op in actions)
-    if not independent(vectors):
-        raise ValueError("generated vectors are linearly dependent")
+    try:
+        closed = coordinates(vectors, [j.matrix.apply(v) for v in vectors])
+    except ValueError:
+        raise ValueError("generated vectors are linearly dependent") from None
+    if closed is None:
+        raise ValueError("generated vectors do not span a J-invariant subspace")
     return vectors
 
 
 def check_invariant_and_restrict(
     t: Matrix, w: Sequence[Sequence], hints: list[IrreduciblePoly] | None = None
 ) -> Optional[MultiplicityFunction]:
-    """Multiplicity function of t restricted to span(w), or None if not invariant.
-
-    One reduction of [W | t W], W the k = len(w) vectors as columns,
-    answers both questions: w is independent iff the first k pivots are
-    columns 0..k-1, and span(w) is invariant iff the rank is k; the
-    reduced form is then (I R; 0 0) with t W = W R.
+    """Multiplicity function of t restricted to span(w), or None if not
+    invariant: the restriction is the R with t W = W R (field.coordinates).
     """
     if t.rows != t.cols:
         raise ValueError("invariance check of non-square matrix")
-    k = len(w)
-    red = row_reduce(Matrix.column_stack([*w, *(t.apply(v) for v in w)]))
-    if red.pivots[:k] != tuple(range(k)):
-        raise ValueError("dependent spanning set")
-    if red.rank != k:
-        return None
-    restriction = Matrix(k, k, [red.rref[i, k + c] for i in range(k) for c in range(k)])
-    return multiplicity_of(restriction, hints)
+    restriction = coordinates(w, [t.apply(v) for v in w])
+    return None if restriction is None else multiplicity_of(restriction, hints)

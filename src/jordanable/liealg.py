@@ -21,8 +21,8 @@ from .field import (
     Matrix,
     _frac,
     _matrix,
+    coordinates,
     format_terms,
-    invert,
     matrix_rank,
     row_reduce,
 )
@@ -197,9 +197,8 @@ def classify_iso(
     lam = projectively_equal(j1.aleph, j2.aleph)
     if lam is None:
         return None
-    v = v_aleph(lam, j1.aleph, conv)
     perm = _block_permutation(lam, j1.aleph, j2.aleph)
-    m = s2_inv * perm * invert(v) * s1
+    m = s2_inv * perm * v_aleph(1 / lam, j1.aleph, conv) * s1
     verify((m * t1).scale(lam) == t2 * m, "classification witness check failed",
            check="classify-witness")
     verify(matrix_rank(m) == m.rows, "classification witness is singular",
@@ -467,26 +466,17 @@ def casimir_basis(l: AlmostAbelianAlgebra) -> list[CasimirElement]:
     return out
 
 
-def _closed(vectors: Sequence[Sequence], brackets: Callable[[list], list]) -> bool:
-    """span(vectors) holds every vector of brackets(W), by one reduction of
-    [W | brackets(W)]: W is independent iff its k columns are the first k
-    pivots, and closed iff the rank is k."""
-    k = len(vectors)
-    red = row_reduce(Matrix.column_stack([*vectors, *brackets(vectors)]))
-    if red.pivots[:k] != tuple(range(k)):
-        raise ValueError("dependent spanning set")
-    return red.rank == k
-
-
 def check_subalgebra(l: AlmostAbelianAlgebra, vectors: Sequence[Sequence]) -> bool:
-    """True when span(vectors) is closed under the bracket."""
-    return _closed(vectors, lambda w: [
-        bracket(l, x, y) for i, x in enumerate(w) for y in w[i + 1:]
-    ])
+    """True when span(vectors) is closed under the bracket (field.coordinates)."""
+    if any(len(v) != l.dimension for v in vectors):
+        raise ValueError("vectors must be in e0 + V coordinates")
+    return coordinates(vectors, [
+        bracket(l, x, y) for i, x in enumerate(vectors) for y in vectors[i + 1:]
+    ]) is not None
 
 
 def check_ideal(l: AlmostAbelianAlgebra, vectors: Sequence[Sequence]) -> bool:
     """True when [L, span(vectors)] lies inside span(vectors)."""
-    return _closed(vectors, lambda w: [
-        bracket(l, l.unit(i), v) for i in range(l.dimension) for v in w
-    ])
+    return coordinates(vectors, [
+        bracket(l, l.unit(i), v) for i in range(l.dimension) for v in vectors
+    ]) is not None

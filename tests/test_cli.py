@@ -369,6 +369,23 @@ class TestInvsubVerbs:
         assert code == 1
         assert json.loads(out)["code"] == "input-error"
 
+    def test_make_non_invariant_exit_1(self, tmp_path, capsys):
+        # the k = 1 term sits at shift 1 < n - k = 2 in a chain of length 3,
+        # so the generated span misses J e4 = e4 + e3 and is not J-invariant
+        a = write(tmp_path, "a.json", [
+            {"p": "X - 1", "n": 1, "mult": 2},
+            {"p": "X - 1", "n": 3, "mult": 2},
+            {"p": "X", "n": 1, "mult": 1},
+        ])
+        term = {"p": "X - 1", "n": 3, "beta": 0, "alpha": 0}
+        spec = write(tmp_path, "spec.json", {
+            "beth": [{"p": "X - 1", "n": 3, "mult": 1}],
+            "mu": [dict(term, k=1, shift=1, value=-2), dict(term, k=3, shift=0, value=2)],
+        })
+        code, out = run(capsys, ["invsub", "make", spec, "--aleph", a])
+        assert code == 1
+        assert json.loads(out)["code"] == "input-error"
+
 
 class TestErrorPaths:
     @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])

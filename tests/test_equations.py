@@ -245,7 +245,7 @@ class TestTransposePair:
 
 class TestNoReinversion:
     """The similarity transform hands S^-1 to its callers: a conjugated query
-    inverts once per transform, and classify_iso once more for V(lam)."""
+    inverts once per transform, and classify_iso takes V(lam)^-1 = V(1/lam)."""
 
     @pytest.fixture
     def inversions(self, monkeypatch):
@@ -283,4 +283,4 @@ class TestNoReinversion:
         inversions.clear()
         lam, _m = classify_iso(t1, t2)
         assert lam == -2
-        assert inversions == [4, 4, 4]  # S1, S2 and V(lam; aleph)
+        assert inversions == [4, 4]  # S1 and S2

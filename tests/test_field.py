@@ -16,7 +16,7 @@ from jordanable import (
     row_reduce,
     solve_linear,
 )
-from jordanable.field import independent, span_contains
+from jordanable.field import coordinates, span_contains
 from .conftest import mat
 
 rationals = st.fractions(
@@ -181,14 +181,37 @@ class TestMatrix:
         assert red.transform * m == red.rref
         for k in red.kernel:
             assert not any(m.apply(k))
-        # the span and independence readers agree with solve_linear and
-        # matrix_rank, on the empty basis (c = 0), zero and in-span vectors
+        # the span reader agrees with solve_linear on the empty basis
+        # (c = 0), zero and in-span vectors
         columns = [m.column(j) for j in range(c)]
         for w in (v, [0] * r, m.apply(x)):
             assert span_contains(columns, w) == (solve_linear(m, w) is not None)
         assert span_contains(columns, [0] * r)
         assert span_contains(columns, m.apply(x))
-        assert independent(columns) == (matrix_rank(m) == c)
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.data())
+    def test_coordinates(self, data):
+        # the closure reader against solve_linear and matrix_rank: a dependent
+        # W raises, None exactly when some image is outside span(W), and
+        # otherwise W R equals the images
+        r, k, c = (data.draw(st.integers(0, 4)) for _ in range(3))
+        sparse = st.one_of(st.just(Fraction(0)), rationals)
+        w = Matrix(r, k, data.draw(st.lists(sparse, min_size=r * k, max_size=r * k)))
+        in_span = st.lists(rationals, min_size=k, max_size=k).map(w.apply)
+        images = [data.draw(st.one_of(st.lists(rationals, min_size=r, max_size=r), in_span))
+                  for _ in range(c)]
+        columns = [w.column(j) for j in range(k)]
+        if matrix_rank(w) < k:
+            with pytest.raises(ValueError, match="dependent spanning set"):
+                coordinates(columns, images)
+            return
+        rr = coordinates(columns, images)
+        if any(solve_linear(w, y) is None for y in images):
+            assert rr is None
+        else:
+            assert [(w * rr).column(j) for j in range(c)] == [
+                tuple(Fraction(y) for y in image) for image in images]
 
     def test_invert(self):
         m = mat([[1, 2], [3, 5]])
@@ -206,12 +229,6 @@ class TestMatrix:
         for v in ((1, 0, 5), (1,)):
             with pytest.raises(ValueError):
                 span_contains([(1, 0)], v)
-
-    def test_independent(self):
-        assert independent([])
-        assert independent([[1, 0, 1], [0, 1, 1]])
-        assert not independent([[1, 2], [2, 4]])
-
 
 # -- Matrix arithmetic against a plain Fraction-list reference -------------
 

@@ -1,5 +1,6 @@
 """Jordan blocks, canonical forms, extraction, similarity, invariance."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -416,6 +417,41 @@ class TestInvariantSubspaces:
         )
         w = invariant_subspace_from(j, spec)
         assert [list(v) for v in w] == [[1, 0]]
+
+    @staticmethod
+    def seeded_spec(rng):
+        """An aleph of X, X - 1 and X^2 + 1 blocks of length <= 3, and one
+        target chain per p: a nonzero top term plus up to two terms from any
+        source chain at shifts 0..2, some of which break invariance."""
+        blocks = {}
+        for p in rng.sample([irr("X"), irr("X - 1"), irr("X^2 + 1")], rng.randint(1, 2)):
+            for n in rng.sample([1, 2, 3], rng.randint(1, 2)):
+                blocks[(p, n)] = rng.randint(1, 2)
+        beth, mu = [], {}
+        for p in dict.fromkeys(p for p, _n in blocks):
+            sources = [(k, al) for (q, k), m in blocks.items() if q == p for al in range(m)]
+            n = rng.randint(1, max(k for k, _al in sources))
+            beth.append((p, n, 1))
+            k, al = rng.choice([s for s in sources if s[0] >= n])
+            mu[(p, n, 0, k, al, 0)] = Fraction(rng.choice([1, -1, 2]))
+            for _ in range(rng.randint(0, 2)):
+                k, al = rng.choice(sources)
+                mu[(p, n, 0, k, al, rng.randint(0, 2))] = Fraction(rng.choice([1, -2, 3]))
+        a = aleph(*((p, n, m) for (p, n), m in blocks.items()))
+        return canonical_form(a), InvariantSubspaceSpec(aleph(*beth), mu)
+
+    def test_every_answer_is_invariant_of_type_beth(self):
+        rng = random.Random(16)
+        answers = 0
+        for _ in range(80):
+            j, spec = self.seeded_spec(rng)
+            try:
+                w = invariant_subspace_from(j, spec)
+            except ValueError:
+                continue
+            answers += 1
+            assert check_invariant_and_restrict(j.matrix, w) == spec.beth
+        assert answers >= 60
 
 
 class TestCheckInvariant:

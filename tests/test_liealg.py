@@ -499,3 +499,11 @@ class TestSubalgebraIdeal:
     def test_dependent_rejected(self, bianchi):
         with pytest.raises(ValueError):
             check_subalgebra(bianchi, [(1, 0, 0), (2, 0, 0)])
+
+    def test_lone_vector_of_wrong_length_rejected(self, bianchi):
+        # one vector has no brackets, so only a length check can catch it
+        for v in ((1,), (1, 0, 0, 0, 0)):
+            with pytest.raises(ValueError, match="vectors must be in e0 \\+ V coordinates"):
+                check_subalgebra(bianchi, [v])
+            with pytest.raises(ValueError, match="vectors must be in e0 \\+ V coordinates"):
+                check_ideal(bianchi, [v])
