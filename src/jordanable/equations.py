@@ -72,34 +72,22 @@ def p_matrix(n: int) -> Matrix:
 def w_matrix(p: IrreduciblePoly, conv: Convention = EPS1) -> Matrix:
     """W_p^eps: the symmetric matrix with W x_p = x_p^T W.
 
-    Entry (i,j) is 0 below the antidiagonal, 1 on it, and mu_{i+j-d+1}
-    above it, where mu_n = -a_{d-n} - sum_{k<n} a_{d-n+k} mu_k; for
-    eps=0 the mu_1 entries are dropped to match the rotation-scaling
-    companion form.
+    W is the Hankel matrix h[i + j] of the sequence 0 (d - 1 times),
+    1, eps * mu_1, mu_2, ..., mu_{d-1}: zero where i + j < d - 1, ones on
+    the antidiagonal and mu_n on the line i + j = d - 1 + n, with mu_0 = 1
+    and mu_n = -sum_{k<n} a_{d-n+k} mu_k.  For eps=0 the mu_1 entries are
+    dropped to match the rotation-scaling companion form.
     """
     d = p.degree
-    if d == 1:
-        return Matrix.identity(1)
     if conv.epsilon == 0:
         companion(p, conv)  # raises ConventionError when eps=0 is unavailable
-    mu = [Fraction(0)] * d  # mu[n] for n = 1..d-1
+    mu = [Fraction(1)]
     for n in range(1, d):
-        mu[n] = -p.poly.coeff(d - n) - sum(
-            p.poly.coeff(d - n + k) * mu[k] for k in range(1, n)
-        )
-    entries = []
-    for i in range(d):
-        for j in range(d):
-            s = i + j - (d - 1)
-            if s < 0:
-                entries.append(Fraction(0))
-            elif s == 0:
-                entries.append(Fraction(1))
-            elif s == 1:
-                entries.append(Fraction(conv.epsilon) * mu[1])
-            else:
-                entries.append(mu[s])
-    return Matrix(d, d, entries)
+        mu.append(-sum(p.poly.coeff(d - n + k) * mu[k] for k in range(n)))
+    if d > 1:
+        mu[1] *= conv.epsilon
+    h = [Fraction(0)] * (d - 1) + mu
+    return Matrix(d, d, [h[i + j] for i in range(d) for j in range(d)])
 
 
 def nilpotent_intertwiners(m: int, n: int) -> SolutionSpace:

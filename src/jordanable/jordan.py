@@ -298,7 +298,10 @@ class InvariantSubspaceSpec:
     the generated chain eta^m uses, for each source block (p, k, alpha),
     the chain vector at position m - shift scaled by that coefficient.
     The span is J-invariant when every term of a target chain of length n
-    taken from a source chain of length k < n has shift >= n - k.
+    taken from a source chain of length k < n has shift >= n - k.  A
+    nonzero term must name a chain of beth (beta < beth(p, n)) and a
+    block of J (alpha < aleph(p, k)); `invariant_subspace_from` rejects
+    any other, even one whose shift never reaches a chain vector.
     """
 
     beth: MultiplicityFunction
@@ -306,46 +309,46 @@ class InvariantSubspaceSpec:
 
 
 def _xi_chains(j: JordanForm) -> dict[tuple[IrreduciblePoly, int, int], list[tuple]]:
-    """Per block, the chain basis with p(J) xi^m = xi^(m-1)."""
+    """Per block, the chain basis with p(J) xi^m = xi^(m-1), topped by the
+    unit vector of the block's last chain position."""
+    pj = {p: p.poly(j.matrix) for p in j.aleph.supp}
+    ident = Matrix.identity(j.dim)
     out = {}
-    dim = j.dim
-    pj_cache: dict[IrreduciblePoly, Matrix] = {}
     for b in j.blocks:
-        pj = pj_cache.setdefault(b.p, b.p.poly(j.matrix))
-        top = [Fraction(0)] * dim
-        top[b.coord(b.n, 0)] = Fraction(1)
-        chain = [tuple(top)]
+        chain = [ident.row(b.coord(b.n, 0))]
         for _ in range(b.n - 1):
-            chain.append(pj.apply(chain[-1]))
+            chain.append(pj[b.p].apply(chain[-1]))
         chain.reverse()  # chain[m-1] = xi^m
         out[(b.p, b.n, b.alpha)] = chain
     return out
 
 
-def _ext_action(j: JordanForm, p: IrreduciblePoly, k: int) -> Matrix:
-    """Block-diagonal action of the k-th extension-basis element on p-blocks."""
-    blocks = []
-    basis = ext_basis_matrices(p, j.convention)
-    for b in j.blocks:
-        if b.p == p:
-            blocks.append(Matrix.identity(b.n).kron(basis[k]))
-        else:
-            blocks.append(Matrix.zeros(b.size, b.size))
-    return Matrix.block_diag(blocks)
-
-
 def invariant_subspace_from(
     j: JordanForm, spec: InvariantSubspaceSpec
 ) -> list[tuple]:
-    """Basis of the invariant subspace generated by the mu-combinations."""
+    """Basis of the invariant subspace generated by the mu-combinations;
+    the extension basis acts through J's companion part, the direct sum
+    of I_n tensor x_p over J's blocks."""
     xi = _xi_chains(j)
     terms: dict[tuple, list[tuple]] = {}  # (p, n, beta) -> its nonzero mu terms
     for (p, n, beta, k, alpha, shift), val in spec.mu.items():
-        if val != 0:
-            terms.setdefault((p, n, beta), []).append((k, alpha, shift, val))
+        if val == 0:
+            continue
+        term = f"mu term ({p}, {n}, {beta}, {k}, {alpha}, {shift})"
+        if not 0 <= beta < spec.beth(p, n):
+            raise ValueError(f"{term} targets chain ({p}, {n}, {beta}), "
+                             "which beth does not have")
+        if not 0 <= alpha < j.aleph(p, k):
+            raise ValueError(f"{term} reads block ({p}, {k}, {alpha}), "
+                             "which J does not have")
+        terms.setdefault((p, n, beta), []).append((k, alpha, shift, val))
+    root = Matrix.block_diag([
+        Matrix.identity(b.n).kron(companion(b.p, j.convention).matrix)
+        for b in j.blocks
+    ])
     vectors: list[tuple] = []
     for (p, n), mult in spec.beth.items():
-        actions = [_ext_action(j, p, k) for k in range(p.degree)]
+        actions = ext_basis_matrices(p, j.convention, root)
         for beta in range(mult):
             chain_terms = terms.get((p, n, beta), [])
             if not any(shift == 0 and k >= n for k, _a, shift, _v in chain_terms):
@@ -357,12 +360,8 @@ def invariant_subspace_from(
                 eta = [Fraction(0)] * j.dim
                 for k, alpha, shift, val in chain_terms:
                     l = m - shift
-                    if l < 1 or l > min(k, m):
-                        continue
-                    chain = xi.get((p, k, alpha))
-                    if chain is None:
-                        raise ValueError(f"no source block ({p}, {k}, {alpha})")
-                    eta = [x + val * y for x, y in zip(eta, chain[l - 1])]
+                    if 1 <= l <= min(k, m):
+                        eta = [x + val * y for x, y in zip(eta, xi[(p, k, alpha)][l - 1])]
                 vectors.extend(op.apply(eta) for op in actions)
     try:
         closed = coordinates(vectors, [j.matrix.apply(v) for v in vectors])

@@ -13,7 +13,6 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 from .errors import (
     HeisenbergDeferred,
-    VerificationFailed,
     ZeroMultiplicityFunction,
     verify,
 )
@@ -197,7 +196,7 @@ def classify_iso(
     lam = projectively_equal(j1.aleph, j2.aleph)
     if lam is None:
         return None
-    perm = _block_permutation(lam, j1.aleph, j2.aleph)
+    perm = _block_permutation(lam, j1.aleph)
     m = s2_inv * perm * v_aleph(1 / lam, j1.aleph, conv) * s1
     verify((m * t1).scale(lam) == t2 * m, "classification witness check failed",
            check="classify-witness")
@@ -206,28 +205,19 @@ def classify_iso(
     return lam, m
 
 
-def _block_permutation(
-    lam: Fraction, a1: MultiplicityFunction, a2: MultiplicityFunction
-) -> Matrix:
-    """Permutation taking the dilated blocks of a1 (in a1 order) to a2 order."""
-    src = block_layout(a1)
-    dilated = [(star_irreducible(lam, b.p), b.n, b.offset) for b in src]
-    dim = a1.dim
-    entries = [Fraction(0)] * (dim * dim)
-    used = [False] * len(dilated)
-    for tgt in block_layout(a2):
-        for i, (q, n, offset) in enumerate(dilated):
-            if used[i] or (q, n) != (tgt.p, tgt.n):
-                continue
-            used[i] = True
-            for t in range(tgt.size):
-                entries[(tgt.offset + t) * dim + offset + t] = Fraction(1)
-            break
-        else:
-            raise VerificationFailed(
-                "no block match despite equal orbits", check="block-permutation"
-            )
-    return Matrix(dim, dim, entries)
+def _block_permutation(lam: Fraction, a1: MultiplicityFunction) -> Matrix:
+    """Permutation taking the dilated blocks of a1 (in a1 order) to the
+    order of a2 = lam * a1.
+
+    a2's layout lists its blocks by (p.sort_key(), n), copies in order, as
+    MultiplicityFunction sorts its entries; the dilated blocks of a1 carry
+    exactly a2's keys, so a stable sort by the dilated key lists them in
+    a2's order, and copy alpha of a block goes to copy alpha.
+    """
+    src = sorted(block_layout(a1),
+                 key=lambda b: (star_irreducible(lam, b.p).sort_key(), b.n))
+    cols = [c for b in src for c in range(b.offset, b.offset + b.size)]
+    return Matrix.identity(a1.dim).embed(a1.dim, a1.dim, range(a1.dim), cols)
 
 
 @dataclass(frozen=True)
@@ -283,10 +273,8 @@ class AutomorphismSpace:
         if len(gamma) != self.gamma_dim:
             raise ValueError(f"gamma must have {self.gamma_dim} entries")
         n = self.algebra.dimension
-        rows = [[nu] + [Fraction(0)] * (n - 1)]
-        for i in range(n - 1):
-            rows.append([_frac(gamma[i])] + list(delta.row(i)))
-        phi = Matrix.from_rows(rows)
+        column = Matrix(n - 1, 1, gamma).embed(n, n, range(1, n), [0])
+        phi = Matrix.block_diag([Matrix(1, 1, [nu]), delta]) + column
         verify(is_automorphism(self.algebra, phi),
                "assembled map is not an automorphism", check="automorphism")
         return phi

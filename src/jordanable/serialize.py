@@ -106,8 +106,7 @@ def irreducible_from_json(data) -> IrreduciblePoly:
 
 
 def hints_from_json(data) -> list[IrreduciblePoly]:
-    return [IrreduciblePoly.hinted(poly_from_json(p))
-            for p in list_from_json(data, "hints")]
+    return [irreducible_from_json(p) for p in list_from_json(data, "hints")]
 
 
 def aleph_to_json(a: MultiplicityFunction) -> list:

@@ -83,6 +83,81 @@ SOLVE_MATRICES = {
 SOLVE_GOLDEN = json.loads(
     (Path(__file__).parent / "golden_solve.json").read_text(encoding="utf-8")
 )
+# `classify` and `lie classify` (per epsilon) on pairs T1 ~ J(a),
+# T2 ~ J(lam * a), each in its own integer basis, with repeated blocks and
+# mixed degrees so that the dilated blocks of a change order; the pairs
+# ("inputs") and the pinned answers are golden_classify.json
+CLASSIFY_GOLDEN = json.loads(
+    (Path(__file__).parent / "golden_classify.json").read_text(encoding="utf-8")
+)
+
+
+def term(p, n, beta, k, alpha, shift, value=1):
+    return {"p": p, "n": n, "beta": beta, "k": k, "alpha": alpha, "shift": shift,
+            "value": value}
+
+
+# `invsub make` (per epsilon): name -> (aleph, spec); the pinned answers
+# are golden_invsub.json
+INVSUB_CASES = {
+    "x-chains": (
+        [entry("X", 3), entry("X", 1, 2)],
+        {"beth": [entry("X", 2), entry("X", 1)],
+         "mu": [term("X", 2, 0, 3, 0, 0), term("X", 2, 0, 1, 1, 1, 2),
+                term("X", 1, 0, 1, 0, 0, -1)]},
+    ),
+    "eigen-mix": (
+        [entry("X - 1", 2, 2), entry("X - 1", 1)],
+        {"beth": [entry("X - 1", 2)],
+         "mu": [term("X - 1", 2, 0, 2, 1, 0, -1), term("X - 1", 2, 0, 2, 0, 0, 2),
+                term("X - 1", 2, 0, 1, 0, 1, 3)]},
+    ),
+    "rotation-chain": (
+        [entry("X^2 + 1", 2), entry("X^2 + 1", 1)],
+        {"beth": [entry("X^2 + 1", 1)],
+         "mu": [term("X^2 + 1", 1, 0, 1, 0, 0), term("X^2 + 1", 1, 0, 2, 0, 0, "1/2"),
+                term("X^2 + 1", 1, 0, 2, 0, 3, 5)]},
+    ),
+    "scaled-rotations": (
+        [entry("X^2 + 4", 1, 2), entry("X", 1)],
+        {"beth": [entry("X^2 + 4", 1, 2)],
+         "mu": [term("X^2 + 4", 1, 0, 1, 0, 0), term("X^2 + 4", 1, 1, 1, 1, 0),
+                term("X^2 + 4", 1, 1, 1, 0, 0, "1/2")]},
+    ),
+    "shifted-rotation": (
+        [entry("X^2 - 2X + 2", 2), entry("X - 1", 1)],
+        {"beth": [entry("X^2 - 2X + 2", 2)],
+         "mu": [term("X^2 - 2X + 2", 2, 0, 2, 0, 0, -3)]},
+    ),
+    "cubic": (
+        [entry("X^3 - 2", 2), entry("X^3 - 2", 1)],
+        {"beth": [entry("X^3 - 2", 1)],
+         "mu": [term("X^3 - 2", 1, 0, 1, 0, 0), term("X^3 - 2", 1, 0, 2, 0, 0, 2)]},
+    ),
+    "mixed": (
+        [entry("X", 2), entry("X - 1", 1), entry("X^2 + 1", 1), entry("X^2 + 4", 2)],
+        {"beth": [entry("X", 1), entry("X^2 + 1", 1), entry("X^2 + 4", 1)],
+         "mu": [term("X", 1, 0, 2, 0, 0), term("X^2 + 1", 1, 0, 1, 0, 0, -1),
+                term("X^2 + 4", 1, 0, 2, 0, 0, 2)]},
+    ),
+    "not-invariant": (
+        [entry("X - 1", 1), entry("X - 1", 3)],
+        {"beth": [entry("X - 1", 3)],
+         "mu": [term("X - 1", 3, 0, 3, 0, 0), term("X - 1", 3, 0, 1, 0, 1, -2)]},
+    ),
+    "dependent": (
+        [entry("X^2 + 1", 1)],
+        {"beth": [entry("X^2 + 1", 1, 2)],
+         "mu": [term("X^2 + 1", 1, 0, 1, 0, 0), term("X^2 + 1", 1, 1, 1, 0, 0, 3)]},
+    ),
+    "no-top": (
+        [entry("X", 2)],
+        {"beth": [entry("X", 2)], "mu": [term("X", 2, 0, 2, 0, 1)]},
+    ),
+}
+INVSUB_GOLDEN = json.loads(
+    (Path(__file__).parent / "golden_invsub.json").read_text(encoding="utf-8")
+)
 
 
 class TestParser:
@@ -197,6 +272,16 @@ class TestLieVerbs:
 
 
 class TestMatrixVerbs:
+    @pytest.mark.parametrize("case", sorted(CLASSIFY_GOLDEN["answers"]))
+    def test_classify_golden(self, tmp_path, capsys, case):
+        verb, name, eps = case.split(":")
+        m1, m2 = (write(tmp_path, f"m{i}.json", m)
+                  for i, m in enumerate(CLASSIFY_GOLDEN["inputs"][name]))
+        code, out = run(capsys, [*verb.split(), m1, m2, "--epsilon", eps[3:]])
+        want = CLASSIFY_GOLDEN["answers"][case]
+        assert code == want["exit"]
+        assert out == json.dumps(want["stdout"], separators=(",", ":"))
+
     def test_jordanize(self, tmp_path, capsys):
         m = write(tmp_path, "m.json", [[0, 1], [1, 0]])
         code, out = run(capsys, ["jordanize", m])
@@ -368,6 +453,37 @@ class TestInvsubVerbs:
         code, out = run(capsys, ["invsub", "make", spec, "--aleph", a])
         assert code == 1
         assert json.loads(out)["code"] == "input-error"
+
+    @pytest.mark.parametrize("case", sorted(INVSUB_GOLDEN))
+    def test_make_golden(self, tmp_path, capsys, case):
+        name, eps = case.split("/eps")
+        a, spec = INVSUB_CASES[name]
+        argv = ["invsub", "make", write(tmp_path, "spec.json", spec),
+                "--aleph", write(tmp_path, "a.json", a), "--epsilon", eps]
+        code, out = run(capsys, argv)
+        want = INVSUB_GOLDEN[case]
+        assert code == want["exit"]
+        assert out == json.dumps(want["stdout"], separators=(",", ":"))
+
+    @pytest.mark.parametrize("extra, named", [
+        ({"n": 5, "beta": 7, "k": 2, "alpha": 0, "shift": 0},
+         "mu term (X - 1, 5, 7, 2, 0, 0) targets chain (X - 1, 5, 7), "
+         "which beth does not have"),
+        ({"n": 1, "beta": 0, "k": 2, "alpha": 5, "shift": 3},
+         "mu term (X - 1, 1, 0, 2, 5, 3) reads block (X - 1, 2, 5), "
+         "which J does not have"),
+    ], ids=["target-outside-beth", "source-outside-aleph"])
+    def test_make_term_outside_exit_1(self, tmp_path, capsys, extra, named):
+        # without the extra term the answer is {"basis":[[1,0]]}
+        a = write(tmp_path, "a.json", [entry("X - 1", 2)])
+        spec = write(tmp_path, "spec.json", {
+            "beth": [entry("X - 1", 1)],
+            "mu": [term("X - 1", 1, 0, 2, 0, 0), dict(extra, p="X - 1", value=1)],
+        })
+        code, out = run(capsys, ["invsub", "make", spec, "--aleph", a])
+        assert (code, json.loads(out)) == (
+            1, {"code": "input-error", "message": named, "context": {}}
+        )
 
     def test_make_non_invariant_exit_1(self, tmp_path, capsys):
         # the k = 1 term sits at shift 1 < n - k = 2 in a chain of length 3,

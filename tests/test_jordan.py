@@ -11,6 +11,7 @@ from jordanable import (
     Convention,
     InvariantSubspaceSpec,
     Matrix,
+    Polynomial,
     ZeroMultiplicityFunction,
     aleph,
     canonical_form,
@@ -417,6 +418,22 @@ class TestInvariantSubspaces:
         )
         w = invariant_subspace_from(j, spec)
         assert [list(v) for v in w] == [[1, 0]]
+
+    def test_factor_evaluated_at_j_once(self, monkeypatch):
+        calls = []
+        evaluate = Polynomial.__call__
+
+        def counting(poly, x):
+            if isinstance(x, Matrix):
+                calls.append(poly)
+            return evaluate(poly, x)
+
+        monkeypatch.setattr(Polynomial, "__call__", counting)
+        p = irr("X^2 + 1")
+        j = canonical_form(aleph((p, 1, 1), (p, 2, 1)))
+        spec = InvariantSubspaceSpec(aleph((p, 1, 1)), {(p, 1, 0, 2, 0, 0): Fraction(1)})
+        assert len(invariant_subspace_from(j, spec)) == 2
+        assert calls == [p.poly]
 
     @staticmethod
     def seeded_spec(rng):
