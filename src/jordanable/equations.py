@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
 from typing import Optional
 
 from .errors import ZeroMultiplicityFunction, verify
@@ -94,7 +95,9 @@ def nilpotent_intertwiners(m: int, n: int) -> SolutionSpace:
     """All B with B N_m = N_n B: shifted-diagonal matrices, dim min(m,n).
 
     The entries of a solution are constant along diagonals j - i = d and
-    vanish unless max(0, m-n) <= d <= m-1.
+    vanish unless max(0, m-n) <= d <= m-1.  This is the paper's closed
+    form as a public function; the library builds its intertwiners in
+    place (_lambda_intertwiners), and the tests use this as the reference.
     """
     if m < 1 or n < 1:
         raise ValueError("block sizes must be >= 1")
@@ -117,7 +120,10 @@ def jordan_intertwiners(
     """All B with B J(q,m) = J(p,n) B; zero space unless p = q.
 
     For p = q each basis element is a nilpotent intertwiner tensored with
-    an extension-basis matrix, giving dimension deg p * min(m, n).
+    an extension-basis matrix, giving dimension deg p * min(m, n).  This
+    is the paper's closed form as a public function; the library builds
+    its intertwiners in place (_lambda_intertwiners), and the tests use
+    this as the reference.
     """
     shape = (n * p.degree, m * q.degree)
     if p != q:
@@ -131,10 +137,13 @@ def jordan_intertwiners(
     return SolutionSpace(shape, tuple(basis))
 
 
-def _v_block(lam: Fraction, b: Block, conv: Convention) -> Matrix:
-    """The block of V(lam; aleph) on one copy of J(p, n), for lam != 0."""
-    scale = lam if conv.epsilon == 1 else lam / abs(lam)
-    return v_matrix(b.n, 1 / lam).kron(v_matrix(b.p.degree, scale))
+def _v_diagonal(lam: Fraction, b: Block, conv: Convention) -> list[Fraction]:
+    """The diagonal of V(lam; aleph) on one copy of J(p, n), for lam != 0:
+    (1/lam)^(r+1) s^(a+1) at chain row r and extension coordinate a, with
+    s = lam for eps = 1 and s = lam/|lam| for eps = 0."""
+    inv = 1 / lam
+    s = lam if conv.epsilon == 1 else lam / abs(lam)
+    return [inv ** (r + 1) * s ** (a + 1) for r in range(b.n) for a in range(b.p.degree)]
 
 
 def _lambda_intertwiners(
@@ -142,23 +151,43 @@ def _lambda_intertwiners(
 ) -> list[Matrix]:
     """Unchecked basis V(lam) R of the dim x dim X with X J = lam J X on blocks.
 
-    The (i, j) sub-block of R is a jordan intertwiner into J(lam*p_i, n_i),
-    zero unless lam*p_i = p_j, and V(lam) scales row block i by its block
-    of V(lam; aleph); lam = 1 gives the commutant.  X vanishes outside the
-    blocks, which may cover only part of the dim coordinates.
+    For each block i = J(p_i, n_i), each block j with p_j = lam*p_i (of
+    degree d), each shift t with max(0, n_j - n_i) <= t < n_j and each
+    extension-basis matrix E of lam*p_i, in that order, the element X is
+
+        X[(i, r, a), (j, r + t, b)] = (1/lam)^(r+1) s^(a+1) E[a, b]
+
+    for chain rows 0 <= r < n_j - t and extension coordinates a, b < d,
+    where (i, r, a) is coordinate offset_i + r d + a, s = lam (eps = 1) or
+    lam/|lam| (eps = 0), and X is zero elsewhere: V(lam)'s diagonal times
+    shift t of the nilpotent intertwiner N_{n_j} -> N_{n_i} tensored with
+    E, the jordan_intertwiners element, written in place.  lam = 1 gives
+    the commutant.  The blocks may cover only part of the dim coordinates.
     """
     lam = _frac(lam)
     out = []
-    for bi in blocks:
-        pi = star_irreducible(lam, bi.p)
-        v = _v_block(lam, bi, conv)
-        rows = range(bi.offset, bi.offset + bi.size)
-        for bj in blocks:
-            if pi != bj.p:
-                continue
-            local = jordan_intertwiners(pi, bj.n, pi, bi.n, conv)
-            cols = range(bj.offset, bj.offset + bj.size)
-            out.extend((v * b).embed(dim, dim, rows, cols) for b in local.basis)
+    # a layout lists the blocks of one factor together, so lam*p, its
+    # partner blocks and its extension nonzeros are found once per factor
+    for p, group in groupby(blocks, key=lambda b: b.p):
+        pi = star_irreducible(lam, p)
+        partners = [bj for bj in blocks if bj.p == pi]
+        if not partners:
+            continue
+        ext = [e.nonzero_rows for e in ext_basis_matrices(pi, conv)]
+        d = pi.degree
+        for bi in group:
+            diag = _v_diagonal(lam, bi, conv)
+            for bj in partners:
+                for t in range(max(0, bj.n - bi.n), bj.n):
+                    for e in ext:
+                        cells = [_ZERO] * (dim * dim)
+                        for r in range(bj.n - t):
+                            row0, col0 = bi.offset + r * d, bj.offset + (r + t) * d
+                            for a, pairs in enumerate(e):
+                                v, at = diag[r * d + a], (row0 + a) * dim + col0
+                                for b, x in pairs:
+                                    cells[at + b] = v * x
+                        out.append(_matrix(dim, dim, cells))
     return out
 
 
@@ -167,7 +196,7 @@ def v_aleph(lam, a: MultiplicityFunction, conv: Convention = EPS1) -> Matrix:
     lam = _frac(lam)
     if lam == 0:
         raise ValueError("V(lam; aleph) is only defined for nonzero lam")
-    return Matrix.block_diag([_v_block(lam, b, conv) for b in block_layout(a)])
+    return Matrix.diagonal([x for b in block_layout(a) for x in _v_diagonal(lam, b, conv)])
 
 
 def u_aleph(a: MultiplicityFunction) -> Matrix:

@@ -5,14 +5,18 @@ types are immutable values and all functions are pure; there is no
 floating point anywhere in this package.
 
 Matrices are stored dense, but the operators of this package are sparse
-in a Jordan basis (J(aleph) has O(n) nonzeros), so products, ``kron``
-and ``apply`` skip the zero entries of both operands: a product costs
-one multiplication per pair of nonzeros that meet, not n^3.
+in a Jordan basis (J(aleph) has O(n) nonzeros).  Each matrix therefore
+keeps a row-wise view of its nonzero (column, entry) pairs, computed on
+first use and kept, like a cached hash: products, ``kron``, ``apply`` and
+``embed`` read it for their operands, so a product costs one
+multiplication per pair of nonzeros that meet, not n^3, and a matrix
+that takes part in many products has its zeros scanned once.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import compress
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 
@@ -230,9 +234,12 @@ class Matrix:
     Storage is dense, but the arithmetic skips zeros: a product, ``kron``
     and ``apply`` multiply only nonzero entries of both operands, and a
     result cell that no product reaches is the shared ``Fraction(0)``.
+    They find those entries in ``nonzero_rows``, the nonzero view, which
+    is computed once per matrix on first use; it is derived from
+    ``entries`` alone, so ``==`` and ``hash`` never read it.
     """
 
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ("rows", "cols", "entries", "_nonzero_rows")
 
     def __init__(self, rows: int, cols: int, entries: Iterable):
         es = tuple(_frac(x) for x in entries)
@@ -241,6 +248,7 @@ class Matrix:
         self.rows = rows
         self.cols = cols
         self.entries = es
+        self._nonzero_rows = None
 
     # -- constructors ------------------------------------------------
 
@@ -265,7 +273,9 @@ class Matrix:
     @staticmethod
     def diagonal(values: Sequence) -> "Matrix":
         n = len(values)
-        return Matrix(n, n, [values[i] if i == j else 0 for i in range(n) for j in range(n)])
+        out = [_ZERO] * (n * n)
+        out[:: n + 1] = [_frac(x) for x in values]
+        return _matrix(n, n, out)
 
     @staticmethod
     def block_diag(blocks: Sequence["Matrix"]) -> "Matrix":
@@ -300,6 +310,20 @@ class Matrix:
 
     def column(self, j: int) -> tuple:
         return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
+
+    @property
+    def nonzero_rows(self) -> tuple[tuple[tuple[int, Fraction], ...], ...]:
+        """Per row, its nonzero (column, entry) pairs in column order;
+        computed on first use and kept, which is safe as entries never
+        change."""
+        view = self._nonzero_rows
+        if view is None:
+            c, e = self.cols, self.entries
+            rows = [e[i * c : (i + 1) * c] for i in range(self.rows)]
+            view = self._nonzero_rows = tuple(
+                [tuple(compress(enumerate(row), row)) for row in rows]
+            )
+        return view
 
     def to_rows(self) -> list[list[Fraction]]:
         return [list(self.row(i)) for i in range(self.rows)]
@@ -342,19 +366,17 @@ class Matrix:
             return self.scale(other)
         if self.cols != other.rows:
             raise ValueError("shape mismatch in product")
-        n, m = self.cols, other.cols
-        # the nonzero (column, entry) pairs of each row of other
-        pairs = [[(j, x) for j, x in enumerate(other.row(k)) if x] for k in range(n)]
+        m = other.cols
+        pairs = other.nonzero_rows
         out = []
-        for i in range(self.rows):
+        for row in self.nonzero_rows:
             # a cell is _ZERO until its first product lands; products are
             # fresh objects, so the identity test never confuses the two
             acc = [_ZERO] * m
-            for a, row in zip(self.row(i), pairs):
-                if a:
-                    for j, x in row:
-                        y = acc[j]
-                        acc[j] = a * x if y is _ZERO else y + a * x
+            for k, a in row:
+                for j, x in pairs[k]:
+                    y = acc[j]
+                    acc[j] = a * x if y is _ZERO else y + a * x
             out += acc
         return _matrix(self.rows, m, out)
 
@@ -376,14 +398,13 @@ class Matrix:
     def apply(self, v: Sequence) -> tuple:
         if len(v) != self.cols:
             raise ValueError("vector length mismatch")
-        pairs = [(j, _frac(x)) for j, x in enumerate(v) if x]
+        v = [_frac(x) if x else _ZERO for x in v]
         out = []
-        for i in range(self.rows):
-            row = self.row(i)
+        for row in self.nonzero_rows:
             acc = _ZERO
-            for j, x in pairs:
-                a = row[j]
-                if a:
+            for j, a in row:
+                x = v[j]
+                if x:
                     acc = a * x if acc is _ZERO else acc + a * x
             out.append(acc)
         return tuple(out)
@@ -397,14 +418,12 @@ class Matrix:
         r, c = self.rows * other.rows, self.cols * other.cols
         out = [_ZERO] * (r * c)
         # (offset in a block, entry) for the nonzero entries of other
-        pairs = [(k * c + l, x) for k in range(other.rows)
-                 for l, x in enumerate(other.row(k)) if x]
-        for i in range(self.rows):
-            for j, a in enumerate(self.row(i)):
-                if a:
-                    base = i * other.rows * c + j * other.cols
-                    for off, x in pairs:
-                        out[base + off] = a * x
+        pairs = [(k * c + l, x) for k, row in enumerate(other.nonzero_rows) for l, x in row]
+        for i, row in enumerate(self.nonzero_rows):
+            for j, a in row:
+                base = i * other.rows * c + j * other.cols
+                for off, x in pairs:
+                    out[base + off] = a * x
         return _matrix(r, c, out)
 
     def embed(
@@ -413,10 +432,9 @@ class Matrix:
         """The rows x cols matrix with self[i, j] at (row_coords[i],
         col_coords[j]) and zeros elsewhere."""
         out = [_ZERO] * (rows * cols)
-        for i, gi in enumerate(row_coords):
-            for gj, x in zip(col_coords, self.row(i)):
-                if x:
-                    out[gi * cols + gj] = x
+        for gi, row in zip(row_coords, self.nonzero_rows):
+            for j, x in row:
+                out[gi * cols + col_coords[j]] = x
         return _matrix(rows, cols, out)
 
     @property
@@ -449,6 +467,7 @@ def _matrix(rows: int, cols: int, entries) -> Matrix:
     m.rows = rows
     m.cols = cols
     m.entries = tuple(entries)
+    m._nonzero_rows = None
     return m
 
 

@@ -17,6 +17,7 @@ from .errors import (
     verify,
 )
 from .field import (
+    _ZERO,
     Matrix,
     _frac,
     _matrix,
@@ -438,10 +439,18 @@ def casimir_basis(l: AlmostAbelianAlgebra) -> list[CasimirElement]:
 
     In L's own form, A = sum c_i Z_i over the Z J + J^T Z = 0 basis Z_i,
     with c in the one kernel of c -> sum c_i (Z_i - Z_i^T); each A is
-    checked once.
+    checked once.  The system keeps only the rows (k, l), k < l, of the
+    skew parts Z_i - Z_i^T that are nonzero for some i: the diagonal rows
+    are zero and row (l, k) is minus row (k, l), so the row space, and
+    with it the kernel, is that of all n^2 rows.
     """
     zs = _transpose_pair_basis(l.form)
-    kernel = row_reduce(Matrix.column_stack([(z - z.transpose()).vec() for z in zs])).kernel
+    skews = [{(k, l): x for k, row in enumerate((z - z.transpose()).nonzero_rows)
+              for l, x in row if k < l} for z in zs]
+    live = sorted({kl for skew in skews for kl in skew})
+    kernel = row_reduce(_matrix(len(live), len(zs), [
+        skew.get(kl, _ZERO) for kl in live for skew in skews
+    ])).kernel
     j = l.form.matrix
     jt = j.transpose()
     out = []

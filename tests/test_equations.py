@@ -1,5 +1,6 @@
 """Structural matrices, intertwiners, and the three operator equations."""
 
+import random
 import sys
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ import pytest
 
 from jordanable import (
     EPS0,
+    EPS1,
     Matrix,
     aleph,
     canonical_form,
@@ -19,6 +21,7 @@ from jordanable import (
     solve_transpose_pair,
 )
 from jordanable.equations import (
+    _lambda_intertwiners,
     p_matrix,
     u_aleph,
     u_matrix,
@@ -138,6 +141,97 @@ class TestIntertwiners:
         got = solve_lambda_comm(j, 1)
         want = brute_solve(EquationSpec.lambda_comm(j.matrix, 1))
         assert same_space(got, want)
+
+
+# -- the in-place lambda-intertwiner builder against its closed form ---------
+
+BUILDER_LAMBDAS = [Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2), Fraction(-2, 3)]
+# eps = 0 takes degree-1 factors and rotation quadratics only
+BUILDER_POOLS = {
+    1: ["X", "X - 1", "X + 2", "X^2 + 1", "X^2 + X + 1", "X^3 - 2", "X^3 + X + 1"],
+    0: ["X", "X - 1", "X + 2", "X^2 + 1", "X^2 + 2*X + 2", "X^2 - 2*X + 5"],
+}
+
+
+def reference_intertwiners(blocks, conv, lam, dim):
+    """The builder as a composition of closed forms: for each block pair
+    (i, j) with p_j = lam*p_i, V(lam)'s block on i times each
+    jordan_intertwiners element, embedded at (i, j)."""
+    out = []
+    for bi in blocks:
+        pi = star_irreducible(lam, bi.p)
+        scale = lam if conv.epsilon == 1 else lam / abs(lam)
+        v = v_matrix(bi.n, 1 / lam).kron(v_matrix(bi.p.degree, scale))
+        rows = range(bi.offset, bi.offset + bi.size)
+        for bj in blocks:
+            if pi != bj.p:
+                continue
+            local = jordan_intertwiners(pi, bj.n, pi, bi.n, conv)
+            cols = range(bj.offset, bj.offset + bj.size)
+            out.extend((v * b).embed(dim, dim, rows, cols) for b in local.basis)
+    return out
+
+
+def seeded_builder_case(seed):
+    """(blocks, conv, lam, dim): a seeded aleph of 2-4 factors, some of them
+    repeated blocks, each factor p with, half the time, lam*p beside it so
+    that blocks pair up; every few seeds a block is dropped from the list,
+    as when Der(L) builds on L0's blocks only."""
+    rng = random.Random(seed)
+    conv = (EPS1, EPS0)[seed % 2]
+    lam = BUILDER_LAMBDAS[seed % len(BUILDER_LAMBDAS)]
+    entries = []
+    for _ in range(rng.randint(2, 4)):
+        p = irr(rng.choice(BUILDER_POOLS[conv.epsilon]))
+        entries.append((p, rng.randint(1, 3), rng.randint(1, 2)))
+        if rng.random() < 0.5:
+            entries.append((star_irreducible(lam, p), rng.randint(1, 3), 1))
+    j = canonical_form(aleph(*entries), conv)
+    blocks = j.blocks
+    if seed % 3 == 0 and len(blocks) > 1:
+        blocks.pop(rng.randrange(len(blocks)))
+    return blocks, conv, lam, j.dim
+
+
+class TestLambdaIntertwinersInPlace:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_same_elements_same_order_as_closed_form(self, seed):
+        blocks, conv, lam, dim = seeded_builder_case(seed)
+        got = _lambda_intertwiners(blocks, conv, lam, dim)
+        assert got == reference_intertwiners(blocks, conv, lam, dim)
+
+    def test_seeds_cover_the_cases(self):
+        # eps = 0 rotation pairs, degree 1/2/3 factors, repeated blocks and
+        # elements for every lambda all occur among the seeds above
+        seen = set()
+        for seed in range(40):
+            blocks, conv, lam, dim = seeded_builder_case(seed)
+            n_elems = len(_lambda_intertwiners(blocks, conv, lam, dim))
+            seen.update(("deg", b.p.degree, conv.epsilon) for b in blocks)
+            seen.update(("repeated",) for b in blocks if b.alpha > 0)
+            if n_elems:
+                seen.add(("lam", lam))
+        assert {("deg", 1, 1), ("deg", 2, 1), ("deg", 3, 1), ("deg", 2, 0),
+                ("repeated",)} <= seen
+        assert {("lam", lam) for lam in BUILDER_LAMBDAS} <= seen
+
+    def test_builder_takes_no_matrix_products(self, monkeypatch):
+        import jordanable.equations as equations_mod
+
+        blocks, conv, lam, dim = seeded_builder_case(1)
+        ext = {}
+        for b in blocks:  # the extension bases, built before counting
+            q = star_irreducible(lam, b.p)
+            ext[q] = equations_mod.ext_basis_matrices(q, conv)
+        monkeypatch.setattr(equations_mod, "ext_basis_matrices", lambda q, c: ext[q])
+        calls = []
+        for name in ("__mul__", "kron"):
+            original = getattr(Matrix, name)
+            monkeypatch.setattr(
+                Matrix, name, lambda *a, _f=original, _n=name: calls.append(_n) or _f(*a)
+            )
+        got = _lambda_intertwiners(blocks, conv, lam, dim)
+        assert got and calls == []
 
 
 class TestLambdaComm:

@@ -340,6 +340,38 @@ class TestMatrixAgainstReference:
                 want[i][i] += c
         assert exact(Polynomial(coeffs)(as_matrix(a, n)), want)
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_nonzero_view(self, data):
+        r, k, c = (data.draw(st.integers(0, 5)) for _ in range(3))
+        a, b = data.draw(sparse_rows(r, k)), data.draw(sparse_rows(k, c))
+        ma, mb = as_matrix(a, k), as_matrix(b, c)
+        fresh_a, fresh_b = as_matrix(a, k), as_matrix(b, c)  # views never read
+        # the view is each row's nonzero (column, entry) pairs, kept once read
+        assert ma.nonzero_rows == tuple(
+            tuple((j, Fraction(x)) for j, x in enumerate(row) if x) for row in a
+        )
+        assert ma.nonzero_rows is ma.nonzero_rows
+        mb.nonzero_rows
+        assert ma == fresh_a and fresh_a == ma and hash(ma) == hash(fresh_a)
+        assert mb == fresh_b and hash(mb) == hash(fresh_b)
+        # products, kron, apply and embed of operands whose view is computed
+        product = ma * mb
+        assert exact(product, ref_mul(a, b, k, c))
+        product.nonzero_rows
+        assert exact(product * mb.transpose(), ref_mul(ref_mul(a, b, k, c),
+                                                       [list(col) for col in zip(*b)], c, k))
+        assert exact(ma.kron(mb), ref_kron(a, b, k, c))
+        v = data.draw(sparse_rows(1, k))[0] if r else [0] * k
+        assert [[x] for x in ma.apply(v)] == ref_mul(a, [[x] for x in v], k, 1)
+        row_coords = data.draw(st.permutations(range(r + 1)))[:r]
+        col_coords = data.draw(st.permutations(range(k + 2)))[:k]
+        want = [[0] * (k + 2) for _ in range(r + 1)]
+        for i, gi in enumerate(row_coords):
+            for j, gj in enumerate(col_coords):
+                want[gi][gj] = a[i][j]
+        assert exact(ma.embed(r + 1, k + 2, row_coords, col_coords), want)
+
     def test_identity_and_zeros_are_exact(self):
         for n in range(4):
             assert exact(Matrix.identity(n), [[int(i == j) for j in range(n)] for i in range(n)])

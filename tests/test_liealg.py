@@ -1,5 +1,6 @@
 """Almost Abelian Lie algebras: structure data, Aut/Der, Casimirs."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -31,7 +32,7 @@ from jordanable import (
 )
 from jordanable.field import invert
 from jordanable.oracle import EquationSpec, brute_solve, random_unimodular
-from jordanable.spectrum import Convention, x_irreducible
+from jordanable.spectrum import Convention, star_irreducible, x_irreducible
 from .conftest import irr, mat
 
 small_fracs = st.fractions(min_value=-4, max_value=4, max_denominator=3)
@@ -433,6 +434,67 @@ class TestCasimir:
         assert [c.matrix for c in casimir_basis(l)] == [
             mat([[0, 0], [0, 1]])
         ]
+
+
+# seeded alephs for the Casimir cross-check: half the time a factor p comes
+# with -1*p beside it, so that Z J + J^T Z = 0 has solutions beyond the X
+# blocks
+CASIMIR_POOLS = {
+    1: ["X", "X - 1", "X + 2", "X^2 + 1", "X^2 + X + 1", "X^3 - 2"],
+    0: ["X", "X - 1", "X + 2", "X^2 + 1", "X^2 + 2*X + 2"],
+}
+
+
+def seeded_algebra(seed: int) -> AlmostAbelianAlgebra:
+    rng = random.Random(seed)
+    eps = seed % 2
+    entries, dim = [], 0
+    for _ in range(rng.randint(1, 2)):
+        p = irr(rng.choice(CASIMIR_POOLS[eps]))
+        for q in (p, star_irreducible(-1, p)) if rng.random() < 0.5 else (p,):
+            n = rng.randint(1, 2)
+            if dim + n * q.degree <= 8:  # keeps the oracle's system small
+                entries.append((q, n, 1))
+                dim += n * q.degree
+    return AlmostAbelianAlgebra(aleph(*entries), Convention(eps))
+
+
+class TestCasimirSystem:
+    """casimir_basis reduces only the live rows k < l of the skew parts."""
+
+    @pytest.fixture
+    def shapes(self, monkeypatch):
+        import jordanable.liealg as liealg_mod
+
+        seen = []
+        reduce = liealg_mod.row_reduce
+        monkeypatch.setattr(
+            liealg_mod, "row_reduce", lambda m: seen.append((m.rows, m.cols)) or reduce(m)
+        )
+        return seen
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_at_most_half_the_off_diagonal_rows(self, seed, shapes):
+        l = seeded_algebra(seed)
+        casimir_basis(l)
+        n = l.form.dim
+        assert shapes and all(rows <= n * (n - 1) // 2 for rows, _cols in shapes)
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_dimension_matches_oracle(self, seed):
+        l = seeded_algebra(seed)
+        want = brute_solve(EquationSpec.symmetric_transpose_pair(l.form.matrix))
+        assert len(casimir_basis(l)) == want.dim
+
+    def test_no_skew_part_reduces_zero_rows(self, shapes):
+        # every Z with Z J + J^T Z = 0 for J = diag(1, 0) is a multiple of
+        # the unit at (1, 1): symmetric, so the reduced system has no rows
+        l = AlmostAbelianAlgebra(aleph((irr("X"), 1, 1), (irr("X - 1"), 1, 1)))
+        basis = casimir_basis(l)
+        assert shapes == [(0, 1)]
+        assert [c.matrix for c in basis] == [mat([[0, 0], [0, 1]])]
+        want = brute_solve(EquationSpec.symmetric_transpose_pair(l.form.matrix))
+        assert want.dim == 1
 
 
 class TestOneCheckPerAnswer:
