@@ -1,8 +1,11 @@
 """Structured solution spaces of the three operator equations.
 
-The solvers never run a generic linear solve: each solution space is
-assembled from intertwiner bases and the structural matrices V_n, U_n,
-P_n, W_p^eps, then every basis element is checked by substitution.
+The solvers never run a generic linear solve: each basis element is
+written cell by cell from the closed forms of one block pair (the
+V(lam) diagonal, a shifted nilpotent intertwiner, an extension-basis
+matrix and, for Z J + J^T Z = 0, each factor's W_p^eps applied to the
+rows of X), then checked once by substitution.  V_n, U_n, P_n, W_p^eps
+and their direct sums stay public as the paper's closed forms.
 """
 
 from __future__ import annotations
@@ -10,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
-from typing import Optional
+from typing import Optional, Sequence
 
 from .errors import ZeroMultiplicityFunction, verify
 from .field import _ONE, _ZERO, Matrix, _frac, _matrix, span_contains
@@ -141,6 +144,8 @@ def _v_diagonal(lam: Fraction, b: Block, conv: Convention) -> list[Fraction]:
     """The diagonal of V(lam; aleph) on one copy of J(p, n), for lam != 0:
     (1/lam)^(r+1) s^(a+1) at chain row r and extension coordinate a, with
     s = lam for eps = 1 and s = lam/|lam| for eps = 0."""
+    if lam == 1:
+        return [_ONE] * b.size
     inv = 1 / lam
     s = lam if conv.epsilon == 1 else lam / abs(lam)
     return [inv ** (r + 1) * s ** (a + 1) for r in range(b.n) for a in range(b.p.degree)]
@@ -165,14 +170,19 @@ def _lambda_intertwiners(
     the commutant.  The blocks may cover only part of the dim coordinates.
     """
     lam = _frac(lam)
-    out = []
     # a layout lists the blocks of one factor together, so lam*p, its
-    # partner blocks and its extension nonzeros are found once per factor
-    for p, group in groupby(blocks, key=lambda b: b.p):
-        pi = star_irreducible(lam, p)
-        partners = [bj for bj in blocks if bj.p == pi]
-        if not partners:
-            continue
+    # partner blocks and its extension nonzeros are found once per factor;
+    # lam = 1 pairs each factor with itself and V(1) = I
+    groups = [(p, list(group)) for p, group in groupby(blocks, key=lambda b: b.p)]
+    out = []
+    for p, group in groups:
+        if lam == 1:
+            pi, partners = p, group
+        else:
+            pi = star_irreducible(lam, p)
+            partners = next((g for q, g in groups if q == pi), None)
+            if partners is None:
+                continue
         ext = [e.nonzero_rows for e in ext_basis_matrices(pi, conv)]
         d = pi.degree
         for bi in group:
@@ -186,7 +196,7 @@ def _lambda_intertwiners(
                             for a, pairs in enumerate(e):
                                 v, at = diag[r * d + a], (row0 + a) * dim + col0
                                 for b, x in pairs:
-                                    cells[at + b] = v * x
+                                    cells[at + b] = x if v is _ONE else v * x
                         out.append(_matrix(dim, dim, cells))
     return out
 
@@ -206,11 +216,33 @@ def u_aleph(a: MultiplicityFunction) -> Matrix:
     return Matrix.block_diag([u_matrix(b.n) for b in block_layout(a)])
 
 
+def _w_rows(blocks: Sequence[Block], conv: Convention, dim: int) -> list[list]:
+    """The nonzero (column, entry) pairs of each row of W(aleph), as in
+    Matrix.nonzero_rows, from each factor's W_p, found once per factor:
+    row (i, r, a) holds W_p[a, a'] at column (i, n_i - 1 - r, a')."""
+    rows: list[list] = [[] for _ in range(dim)]
+    for p, group in groupby(blocks, key=lambda b: b.p):
+        d = p.degree
+        wp = w_matrix(p, conv).nonzero_rows
+        for b in group:
+            for r in range(b.n):
+                row0, col0 = b.offset + r * d, b.offset + (b.n - 1 - r) * d
+                for a, pairs in enumerate(wp):
+                    rows[row0 + a] = [(col0 + c, x) for c, x in pairs]
+    return rows
+
+
 def w_aleph(a: MultiplicityFunction, conv: Convention = EPS1) -> Matrix:
-    """W(aleph) = direct sum of P_n tensor W_p^eps; symmetric and invertible."""
-    return Matrix.block_diag(
-        [p_matrix(b.n).kron(w_matrix(b.p, conv)) for b in block_layout(a)]
-    )
+    """W(aleph) = direct sum of P_n tensor W_p^eps; symmetric and invertible.
+
+    The paper's closed form as a public function, written cell by cell;
+    the library never forms it: _transpose_pair_basis reads its rows."""
+    dim = a.dim
+    cells = [_ZERO] * (dim * dim)
+    for i, row in enumerate(_w_rows(block_layout(a), conv, dim)):
+        for c, x in row:
+            cells[i * dim + c] = x
+    return _matrix(dim, dim, cells)
 
 
 def solve_lambda_comm(
@@ -269,10 +301,26 @@ def solve_inhom_comm(
 
 
 def _transpose_pair_basis(j: JordanForm) -> list[Matrix]:
-    """Unchecked basis W(aleph) X of the Z with Z J + J^T Z = 0, for X over
-    the lambda = -1 intertwiners of J = J(aleph)."""
-    w = w_aleph(j.aleph, j.convention)
-    return [w * x for x in _lambda_intertwiners(j.blocks, j.convention, -1, j.dim)]
+    """Unchecked basis Z = W(aleph) X of the Z with Z J + J^T Z = 0, for X
+    over the lambda = -1 intertwiners of J = J(aleph).
+
+    Z is written in place from X's rows and W(aleph) is never formed: row
+    (i, r, a) of Z is the sum over a' of W_p[a, a'] times row
+    (i, n_i - 1 - r, a') of X, read from X's nonzero view."""
+    dim = j.dim
+    w = _w_rows(j.blocks, j.convention, dim)
+    out = []
+    for x in _lambda_intertwiners(j.blocks, j.convention, -1, dim):
+        xrows = x.nonzero_rows
+        cells = [_ZERO] * (dim * dim)
+        for i, row in enumerate(w):
+            at = i * dim
+            for k, a in row:
+                for c, v in xrows[k]:
+                    y = cells[at + c]
+                    cells[at + c] = a * v if y is _ZERO else y + a * v
+        out.append(_matrix(dim, dim, cells))
+    return out
 
 
 def solve_transpose_pair(

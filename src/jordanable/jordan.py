@@ -12,12 +12,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
 from typing import Optional, Sequence
 
 from .errors import VerificationFailed, ZeroMultiplicityFunction, verify
 from .field import (
+    _ONE,
+    _ZERO,
     Matrix,
     Polynomial,
+    _matrix,
     coordinates,
     invert,
     poly_divmod,
@@ -42,7 +46,10 @@ def nilpotent_shift(n: int) -> Matrix:
 
 
 def jordan_block(p: IrreduciblePoly, n: int, conv: Convention = EPS1) -> Matrix:
-    """J(p,n): companion blocks on the diagonal, identity superdiagonal."""
+    """J(p,n): companion blocks on the diagonal, identity superdiagonal.
+
+    The paper's closed form as a public function; canonical_form writes
+    its blocks in place, and the tests use this as the reference."""
     d = p.degree
     xp = companion(p, conv).matrix
     return Matrix.identity(n).kron(xp) + nilpotent_shift(n).kron(Matrix.identity(d))
@@ -95,37 +102,53 @@ class JordanForm:
 
     ``blocks`` (one `Block` per J(p,n) copy, with its coordinate range)
     and ``index`` (one `BlockIndex` per coordinate) are the one source of
-    the block layout: callers read coordinates and labels from them
-    rather than re-deriving the order from ``aleph``.
+    the block layout, built once with the form: callers read coordinates
+    and labels from them rather than re-deriving the order from ``aleph``.
     """
 
     matrix: Matrix
     aleph: MultiplicityFunction
     convention: Convention
+    blocks: tuple[Block, ...]
     index: tuple[BlockIndex, ...]
 
     @property
     def dim(self) -> int:
         return self.matrix.rows
 
-    @property
-    def blocks(self) -> list[Block]:
-        return block_layout(self.aleph)
-
 
 def canonical_form(a: MultiplicityFunction, conv: Convention = EPS1) -> JordanForm:
-    """J(aleph): the direct sum of all blocks in canonical order."""
+    """J(aleph): the direct sum of all blocks in canonical order.
+
+    J is written cell by cell, each block J(p, n) from its factor's x_p,
+    found once per factor: x_p at chain position (m, m) and the identity
+    at (m, m + 1), as in jordan_block.
+    """
     if a.is_zero:
         raise ZeroMultiplicityFunction("canonical form of the zero function")
-    blocks = block_layout(a)
-    matrix = Matrix.block_diag([jordan_block(b.p, b.n, conv) for b in blocks])
+    blocks = tuple(block_layout(a))
+    dim = a.dim
+    cells = [_ZERO] * (dim * dim)
+    # a layout lists the blocks of one factor together
+    for p, group in groupby(blocks, key=lambda b: b.p):
+        d = p.degree
+        xp = companion(p, conv).matrix.nonzero_rows
+        for b in group:
+            for m in range(b.n):
+                row0 = b.offset + m * d
+                for k, pairs in enumerate(xp):
+                    at = (row0 + k) * dim + row0
+                    for c, x in pairs:
+                        cells[at + c] = x
+                    if m + 1 < b.n:
+                        cells[at + d + k] = _ONE
     index = tuple(
         BlockIndex(b.p, b.n, b.alpha, m, k)
         for b in blocks
         for m in range(1, b.n + 1)
         for k in range(b.p.degree)
     )
-    return JordanForm(matrix, a, conv, index)
+    return JordanForm(_matrix(dim, dim, cells), a, conv, blocks, index)
 
 
 # factor p -> (p(t), kernel bases of p(t)^k for k = 0..e+1), where p^e
@@ -262,7 +285,7 @@ def _similarity(
     a = _aleph_from(t, filtrations)
     if a.is_zero:
         # the zero-dimensional matrix; S is empty
-        j = JordanForm(t, a, conv, ())
+        j = JordanForm(t, a, conv, (), ())
         return Matrix.identity(0), Matrix.identity(0), j
     columns: dict[tuple[IrreduciblePoly, int], list[list]] = {}
     for p, (pt, kers) in filtrations.items():

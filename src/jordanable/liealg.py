@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import (
     HeisenbergDeferred,
@@ -101,21 +101,15 @@ def bracket(l: AlmostAbelianAlgebra, x: Sequence, y: Sequence) -> tuple:
     return (Fraction(0),) + tuple(a * cw - b * cu for cw, cu in zip(jw, ju))
 
 
-def _coords(l: AlmostAbelianAlgebra, keep: Callable[[BlockIndex], bool]) -> list[int]:
-    """Full coordinates (e0 is 0) of the V basis vectors whose label passes keep."""
-    return [1 + i for i, x in enumerate(l.form.index) if keep(x)]
-
-
-def _labeled(
-    l: AlmostAbelianAlgebra, keep: Callable[[BlockIndex], bool]
-) -> list[LabeledVector]:
-    return [LabeledVector(l.form.index[c - 1], l.unit(c)) for c in _coords(l, keep)]
+def _labeled(l: AlmostAbelianAlgebra, coords: Sequence[int]) -> list[LabeledVector]:
+    """The unit vectors of the given V coordinates (0-based), labeled."""
+    return [LabeledVector(l.form.index[c], l.unit(1 + c)) for c in coords]
 
 
 def centre(l: AlmostAbelianAlgebra) -> list[LabeledVector]:
     """Z(L) = ker ad_e0: the bottom chain vectors of the X blocks."""
     xp = x_irreducible()
-    return _labeled(l, lambda x: x.p == xp and x.m == 1)
+    return _labeled(l, [b.offset for b in l.form.blocks if b.p == xp])
 
 
 def lower_central_series(l: AlmostAbelianAlgebra, k: int) -> list[LabeledVector]:
@@ -123,7 +117,11 @@ def lower_central_series(l: AlmostAbelianAlgebra, k: int) -> list[LabeledVector]
     if k < 1:
         raise ValueError("k must be >= 1")
     xp = x_irreducible()
-    return _labeled(l, lambda x: x.p != xp or x.m <= x.n - k)
+    coords = []
+    for b in l.form.blocks:
+        kept = b.size if b.p != xp else max(b.n - k, 0)  # X chains: m <= n - k
+        coords.extend(range(b.offset, b.offset + kept))
+    return _labeled(l, coords)
 
 
 def is_nilpotent(l: AlmostAbelianAlgebra) -> bool:
@@ -157,25 +155,30 @@ def _split(l: AlmostAbelianAlgebra) -> _Split:
     an unsupported L: a Heisenberg L0 (the Heisenberg algebra itself, or
     it plus W) and an Abelian L0 (L is all W).
     """
-    l0 = decompose(l)[0]
     xp = x_irreducible()
-    if l0.is_zero:
+    core, blocks, w, centre0, coker0 = [], [], [], [], [0]
+    for b in l.form.blocks:
+        first = 1 + b.offset  # e0 is coordinate 0
+        if b.p == xp:
+            if b.n == 1:
+                w.append(first)
+                continue
+            centre0.append(first)
+            coker0.append(first + b.n - 1)
+        core.extend(range(first, first + b.size))
+        blocks.append(b)
+    if not blocks:
         raise ZeroMultiplicityFunction(
             "Abelian algebra: not almost Abelian, no structure to compose"
         )
-    if l0.entries == {(xp, 2): 1}:  # L0 is the Heisenberg algebra
+    if len(blocks) == 1 and centre0 and blocks[0].n == 2:  # L0 = one (X,2) block
         raise HeisenbergDeferred()
     n = l.dimension
-    w = _coords(l, lambda x: _in_w(x.p, x.n))
-    centre0 = _coords(l, lambda x: x.p == xp and x.n > 1 and x.m == 1)
-    coker0 = [0] + _coords(l, lambda x: x.p == xp and x.n > 1 and x.m == x.n)
     corners = (
         tuple(_unit_matrix(n, z, c) for c in w for z in centre0),
         tuple(_unit_matrix(n, c, k) for c in w for k in coker0),
         tuple(_unit_matrix(n, ci, cj) for ci in w for cj in w),
     )
-    core = _coords(l, lambda x: not _in_w(x.p, x.n))
-    blocks = [b for b in l.form.blocks if not _in_w(b.p, b.n)]
     return _Split(core, blocks, w, corners)
 
 

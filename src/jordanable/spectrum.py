@@ -168,10 +168,12 @@ class IrreduciblePoly:
 
 
 X_POLY = Polynomial((0, 1))
+# IrreduciblePoly is frozen, so every caller can share the one instance
+_X_IRREDUCIBLE = IrreduciblePoly(X_POLY, Certification.PROVEN)
 
 
 def x_irreducible() -> IrreduciblePoly:
-    return IrreduciblePoly(X_POLY, Certification.PROVEN)
+    return _X_IRREDUCIBLE
 
 
 @dataclass(frozen=True)

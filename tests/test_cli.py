@@ -70,6 +70,34 @@ LIE_GOLDEN = {
     )
     for verb in LIE_VERBS
 }
+# `lie centre`, `lie lcs --k 1..3`, `lie nilpotent` and `lie decompose`
+# over DER_ALGEBRAS and algebras with a Heisenberg or Abelian core, long
+# X chains and dilated pairs; the pinned answers are golden_lie_centre.json,
+# keyed "<verb>:<algebra>/eps<epsilon>"
+CENTRE_ALGEBRAS = {
+    **DER_ALGEBRAS,
+    "heisenberg": [entry([0, 1], 2)],
+    "heisenberg+W": [entry([0, 1], 2), entry([0, 1], 1)],
+    "abelian": [entry([0, 1], 1, 3)],
+    "x-chain-4": [entry([0, 1], 4)],
+    "x-chains-4-2-2+W": [entry([0, 1], 4), entry([0, 1], 2, 2), entry([0, 1], 1)],
+    "real-chain": [entry([-1, 1], 3)],
+    "rotation-pair": [entry([1, 0, 1], 1, 2)],
+    "rotation-chain+x-chain": [entry([1, 0, 1], 2), entry([0, 1], 3)],
+    "cubic+x-chain+W": [entry([-2, 0, 0, 1], 1), entry([0, 1], 2), entry([0, 1], 1)],
+    "dilated+x-chain": [entry([-2, 1], 1), entry([-4, 1], 2), entry([0, 1], 3)],
+}
+CENTRE_VERBS = {
+    "centre": ["lie", "centre"],
+    "lcs1": ["lie", "lcs", "--k", "1"],
+    "lcs2": ["lie", "lcs", "--k", "2"],
+    "lcs3": ["lie", "lcs", "--k", "3"],
+    "nilpotent": ["lie", "nilpotent"],
+    "decompose": ["lie", "decompose"],
+}
+CENTRE_GOLDEN = json.loads(
+    (Path(__file__).parent / "golden_lie_centre.json").read_text(encoding="utf-8")
+)
 # `solve xt-ltx` (lambda = -1 and 2, per epsilon) and `solve yt-ty-t` on
 # matrices given in a conjugated basis; the pinned answers are
 # golden_solve.json
@@ -252,6 +280,22 @@ class TestLieVerbs:
         want = LIE_GOLDEN[verb][case]
         assert code == want["exit"]
         assert out == json.dumps(want["stdout"], separators=(",", ":"))
+
+    @pytest.mark.parametrize("case", sorted(CENTRE_GOLDEN))
+    def test_centre_golden(self, tmp_path, capsys, case):
+        verb, rest = case.split(":")
+        name, eps = rest.split("/eps")
+        a = write(tmp_path, "a.json", CENTRE_ALGEBRAS[name])
+        code, out = run(capsys, [*CENTRE_VERBS[verb], "--aleph", a, "--epsilon", eps])
+        want = CENTRE_GOLDEN[case]
+        assert code == want["exit"]
+        assert out == json.dumps(want["stdout"], separators=(",", ":"))
+
+    def test_centre_golden_covers_every_case(self):
+        assert sorted(CENTRE_GOLDEN) == sorted(
+            f"{verb}:{name}/eps{eps}"
+            for verb in CENTRE_VERBS for name in CENTRE_ALGEBRAS for eps in (0, 1)
+        )
 
     def test_heisenberg_exit_2(self, tmp_path, capsys):
         a = write(tmp_path, "a.json", [{"p": [0, 1], "n": 2, "mult": 1}])

@@ -22,6 +22,7 @@ from jordanable import (
 )
 from jordanable.equations import (
     _lambda_intertwiners,
+    _transpose_pair_basis,
     p_matrix,
     u_aleph,
     u_matrix,
@@ -31,6 +32,7 @@ from jordanable.equations import (
     w_matrix,
 )
 from jordanable.field import invert
+from jordanable.jordan import block_layout, jordan_block
 from jordanable.liealg import classify_iso
 from jordanable.oracle import EquationSpec, brute_solve
 from jordanable.spectrum import star_irreducible
@@ -187,7 +189,7 @@ def seeded_builder_case(seed):
         if rng.random() < 0.5:
             entries.append((star_irreducible(lam, p), rng.randint(1, 3), 1))
     j = canonical_form(aleph(*entries), conv)
-    blocks = j.blocks
+    blocks = list(j.blocks)
     if seed % 3 == 0 and len(blocks) > 1:
         blocks.pop(rng.randrange(len(blocks)))
     return blocks, conv, lam, j.dim
@@ -232,6 +234,101 @@ class TestLambdaIntertwinersInPlace:
             )
         got = _lambda_intertwiners(blocks, conv, lam, dim)
         assert got and calls == []
+
+
+# -- J(aleph), W(aleph) and Z = W X written in place, against their products --
+
+
+def seeded_layout_case(seed):
+    """(aleph, conv): 2-4 seeded factors, some of them repeated blocks, each
+    with -1*p beside it half the time, so that some blocks pair up under
+    lambda = -1 and the others have no partner."""
+    rng = random.Random(f"layout-{seed}")
+    conv = (EPS1, EPS0)[seed % 2]
+    entries = []
+    for _ in range(rng.randint(2, 4)):
+        p = irr(rng.choice(BUILDER_POOLS[conv.epsilon]))
+        entries.append((p, rng.randint(1, 3), rng.randint(1, 2)))
+        if rng.random() < 0.5:
+            entries.append((star_irreducible(-1, p), rng.randint(1, 3), 1))
+    return aleph(*entries), conv
+
+
+def counting_products(monkeypatch, equations_mod, forms):
+    """Count Matrix products, kron and block_diag calls; the extension
+    bases of the forms' factors and their -1 partners (powers of x_p,
+    so products) are built before counting."""
+    ext = {}
+    for j in forms:
+        for b in j.blocks:
+            for q in (b.p, star_irreducible(-1, b.p)):
+                ext[q] = equations_mod.ext_basis_matrices(q, j.convention)
+    monkeypatch.setattr(equations_mod, "ext_basis_matrices", lambda q, c: ext[q])
+    calls = []
+    for name in ("__mul__", "kron"):
+        original = getattr(Matrix, name)
+        monkeypatch.setattr(
+            Matrix, name, lambda *a, _f=original, _n=name: calls.append(_n) or _f(*a)
+        )
+    block_diag = Matrix.block_diag
+    monkeypatch.setattr(Matrix, "block_diag", staticmethod(
+        lambda blocks: calls.append("block_diag") or block_diag(blocks)
+    ))
+    return calls
+
+
+class TestLayoutMatricesInPlace:
+    @pytest.mark.parametrize("seed", range(30))
+    def test_canonical_form_is_the_block_sum(self, seed):
+        a, conv = seeded_layout_case(seed)
+        j = canonical_form(a, conv)
+        layout = block_layout(a)
+        assert j.matrix == Matrix.block_diag([jordan_block(b.p, b.n, conv) for b in layout])
+        assert j.blocks == tuple(layout)
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_w_aleph_is_the_block_sum(self, seed):
+        a, conv = seeded_layout_case(seed)
+        assert w_aleph(a, conv) == Matrix.block_diag(
+            [p_matrix(b.n).kron(w_matrix(b.p, conv)) for b in block_layout(a)]
+        )
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_transpose_pair_basis_is_w_times_x(self, seed):
+        a, conv = seeded_layout_case(seed)
+        j = canonical_form(a, conv)
+        w = w_aleph(a, conv)
+        assert _transpose_pair_basis(j) == [
+            w * x for x in _lambda_intertwiners(j.blocks, conv, -1, j.dim)
+        ]
+
+    def test_seeds_cover_the_cases(self):
+        # eps = 0 rotation pairs, degree 1/2/3 factors, repeated blocks,
+        # factors with and without a -1 partner, and Z J + J^T Z = 0
+        # solutions beyond the X blocks all occur among the seeds above
+        seen = set()
+        for seed in range(30):
+            a, conv = seeded_layout_case(seed)
+            j = canonical_form(a, conv)
+            seen.update(("deg", b.p.degree, conv.epsilon) for b in j.blocks)
+            seen.update(("repeated",) for b in j.blocks if b.alpha > 0)
+            seen.update(("partner", star_irreducible(-1, p) in a.supp) for p in a.supp)
+            if any(b.p.poly.coeff(0) for b in j.blocks) and _transpose_pair_basis(j):
+                seen.add(("z beyond X",))
+        assert {("deg", 1, 1), ("deg", 2, 1), ("deg", 3, 1), ("deg", 2, 0),
+                ("repeated",), ("partner", True), ("partner", False),
+                ("z beyond X",)} <= seen
+
+    def test_no_products_kron_or_block_diag(self, monkeypatch):
+        import jordanable.equations as equations_mod
+
+        cases = [seeded_layout_case(seed) for seed in range(6)]
+        forms = [canonical_form(a, conv) for a, conv in cases]
+        calls = counting_products(monkeypatch, equations_mod, forms)
+        zs = [_transpose_pair_basis(j) for j in forms]
+        again = [canonical_form(a, conv) for a, conv in cases]
+        assert any(zs) and again == forms
+        assert calls == []
 
 
 class TestLambdaComm:

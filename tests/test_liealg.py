@@ -31,6 +31,7 @@ from jordanable import (
     solve_transpose_pair,
 )
 from jordanable.field import invert
+from jordanable.liealg import LabeledVector, _split
 from jordanable.oracle import EquationSpec, brute_solve, random_unimodular
 from jordanable.spectrum import Convention, star_irreducible, x_irreducible
 from .conftest import irr, mat
@@ -308,6 +309,105 @@ class TestAutomorphisms:
         assert json.loads(capsys.readouterr().out)["composite"]
 
 
+# -- the L0 + W split, the centre and the lower central series read from the
+# layout's blocks, against the per-coordinate filters over form.index ------
+
+
+def index_coords(l, keep):
+    """Full coordinates (e0 is 0) of the V basis vectors whose label passes keep."""
+    return [1 + i for i, x in enumerate(l.form.index) if keep(x)]
+
+
+def reference_split(l):
+    """_split as (core, blocks, w, corners), read one coordinate label at a
+    time from form.index, with the rejections decided on decompose's L0."""
+    xp = x_irreducible()
+
+    def in_w(x):
+        return x.p == xp and x.n == 1
+
+    l0 = decompose(l)[0]
+    if l0.is_zero:
+        raise ZeroMultiplicityFunction("Abelian algebra")
+    if l0.entries == {(xp, 2): 1}:
+        raise HeisenbergDeferred()
+    n = l.dimension
+    w = index_coords(l, in_w)
+    centre0 = index_coords(l, lambda x: x.p == xp and x.n > 1 and x.m == 1)
+    coker0 = [0] + index_coords(l, lambda x: x.p == xp and x.n > 1 and x.m == x.n)
+
+    def unit(i, j):
+        return Matrix.identity(1).embed(n, n, [i], [j])
+
+    corners = (
+        tuple(unit(z, c) for c in w for z in centre0),
+        tuple(unit(c, k) for c in w for k in coker0),
+        tuple(unit(ci, cj) for ci in w for cj in w),
+    )
+    core = index_coords(l, lambda x: not in_w(x))
+    blocks = [b for b in l.form.blocks if not (b.p == xp and b.n == 1)]
+    return core, blocks, w, corners
+
+
+def reference_labeled(l, keep):
+    return [LabeledVector(l.form.index[c - 1], l.unit(c)) for c in index_coords(l, keep)]
+
+
+SPLIT_POOL = ["X", "X", "X - 1", "X + 2", "X^2 + 1", "X^3 - 2"]
+
+
+def seeded_split_algebra(seed):
+    """1-4 seeded entries, X-heavy so that W blocks, X chains and, now and
+    then, a Heisenberg or Abelian core L0 occur."""
+    rng = random.Random(f"split-{seed}")
+    entries = {}
+    for _ in range(rng.randint(1, 4)):
+        p = rng.choice(SPLIT_POOL)
+        entries[(p, rng.randint(1, 3))] = rng.randint(1, 2)
+    return AlmostAbelianAlgebra(aleph(*((irr(p), n, m) for (p, n), m in entries.items())))
+
+
+def split_or_error(split, l):
+    try:
+        return tuple(split(l))
+    except (ZeroMultiplicityFunction, HeisenbergDeferred) as exc:
+        return type(exc)
+
+
+class TestSplitFromBlocks:
+    @pytest.mark.parametrize("seed", range(60))
+    def test_split_matches_index_reference(self, seed):
+        l = seeded_split_algebra(seed)
+        assert split_or_error(_split, l) == split_or_error(reference_split, l)
+
+    def test_seeds_cover_the_cases(self):
+        outcomes = [split_or_error(_split, seeded_split_algebra(seed)) for seed in range(60)]
+        kinds = {o if isinstance(o, type) else ("w" if o[2] else "no w") for o in outcomes}
+        assert kinds == {ZeroMultiplicityFunction, HeisenbergDeferred, "w", "no w"}
+
+    @pytest.mark.parametrize("entries, error", [
+        ([("X", 1, 1)], ZeroMultiplicityFunction),
+        ([("X", 1, 3)], ZeroMultiplicityFunction),
+        ([("X", 2, 1)], HeisenbergDeferred),
+        ([("X", 2, 1), ("X", 1, 2)], HeisenbergDeferred),
+    ])
+    def test_abelian_and_heisenberg_rejected(self, entries, error):
+        l = AlmostAbelianAlgebra(aleph(*((irr(p), n, m) for p, n, m in entries)))
+        for query in (_split, derivation_space, automorphism_space):
+            with pytest.raises(error):
+                query(l)
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_centre_and_lcs_match_index_reference(self, seed):
+        l = seeded_split_algebra(seed)
+        xp = x_irreducible()
+        assert centre(l) == reference_labeled(l, lambda x: x.p == xp and x.m == 1)
+        for k in (1, 2, 3):
+            assert lower_central_series(l, k) == reference_labeled(
+                l, lambda x, k=k: x.p != xp or x.m <= x.n - k
+            )
+
+
 class TestDerivations:
     def test_bianchi(self, bianchi):
         d = derivation_space(bianchi)
@@ -534,6 +634,18 @@ class TestOneCheckPerAnswer:
         checks, forms = counted
         space = solve_lambda_comm(chains.form, 2)
         assert (space.dim, len(checks), len(forms)) == (9, 9, 0)
+
+    def test_commutant(self, chains, counted):
+        checks, forms = counted
+        space = solve_lambda_comm(chains.form, 1)
+        assert (space.dim, len(checks), len(forms)) == (9, 9, 0)
+
+    def test_derivations(self, counted):
+        checks, forms = counted
+        l = AlmostAbelianAlgebra(aleph((irr("X"), 3, 1), (irr("X"), 2, 1), (irr("X"), 1, 1)))
+        forms.clear()  # the algebra's own form
+        space = derivation_space(l)
+        assert (space.dim, len(checks), len(forms)) == (21, 21, 0)
 
 
 class TestSubalgebraIdeal:
