@@ -245,13 +245,33 @@ def w_aleph(a: MultiplicityFunction, conv: Convention = EPS1) -> Matrix:
     return _matrix(dim, dim, cells)
 
 
+def _checked_intertwiners(
+    t: Matrix,
+    lam,
+    j: JordanForm,
+    s: Optional[Matrix] = None,
+    s_inv: Optional[Matrix] = None,
+) -> tuple[Matrix, ...]:
+    """The basis of all X with X t = lam t X, for t = S^-1 J S, or for
+    t = J itself when S is None: each lambda-intertwiner of J, conjugated
+    by S when S is given, checked once in t's coordinates."""
+    basis = []
+    for x in _lambda_intertwiners(j.blocks, j.convention, lam, j.dim):
+        if s is not None:
+            x = s_inv * x * s
+        verify(x * t == (t * x).scale(lam), "lambda-commutation check failed",
+               check="lambda-commutation")
+        basis.append(x)
+    return tuple(basis)
+
+
 def solve_lambda_comm(
-    t,
+    t: Matrix,
     lam,
     hints: list[IrreduciblePoly] | None = None,
     conv: Convention = EPS1,
 ) -> SolutionSpace:
-    """All X with X T = lam T X, for nonzero lam.
+    """All X with X T = lam T X, for a square matrix T and nonzero lam.
 
     In Jordan coordinates the space is V(lam; aleph) times the intertwiner
     space pairing each block (p, n) with blocks (lam*p, m); each element
@@ -260,19 +280,8 @@ def solve_lambda_comm(
     lam = _frac(lam)
     if lam == 0:
         raise ValueError("lambda must be nonzero")
-    if isinstance(t, JordanForm):
-        j, tm, s = t, t.matrix, None
-    else:
-        s, s_inv, j = _similarity(t, hints, conv)
-        tm = t
-    basis = []
-    for x in _lambda_intertwiners(j.blocks, j.convention, lam, j.dim):
-        if s is not None:
-            x = s_inv * x * s
-        verify(x * tm == (tm * x).scale(lam), "lambda-commutation check failed",
-               check="lambda-commutation")
-        basis.append(x)
-    return SolutionSpace((tm.rows, tm.cols), tuple(basis))
+    s, s_inv, j = _similarity(t, hints, conv)
+    return SolutionSpace((t.rows, t.cols), _checked_intertwiners(t, lam, j, s, s_inv))
 
 
 def solve_inhom_comm(
@@ -292,12 +301,8 @@ def solve_inhom_comm(
     offset = s_inv * u_aleph(j.aleph) * s
     verify(offset * t - t * offset == t, "inhomogeneous check failed",
            check="inhomogeneous-commutation")
-    basis = []
-    for c in _lambda_intertwiners(j.blocks, j.convention, 1, j.dim):
-        y = s_inv * c * s
-        verify(y * t == t * y, "commutant check failed", check="commutation")
-        basis.append(y)
-    return SolutionSpace((t.rows, t.cols), tuple(basis), offset)
+    basis = _checked_intertwiners(t, 1, j, s, s_inv)
+    return SolutionSpace((t.rows, t.cols), basis, offset)
 
 
 def _transpose_pair_basis(j: JordanForm) -> list[Matrix]:

@@ -51,7 +51,7 @@ def jordan_block(p: IrreduciblePoly, n: int, conv: Convention = EPS1) -> Matrix:
     The paper's closed form as a public function; canonical_form writes
     its blocks in place, and the tests use this as the reference."""
     d = p.degree
-    xp = companion(p, conv).matrix
+    xp = companion(p, conv)
     return Matrix.identity(n).kron(xp) + nilpotent_shift(n).kron(Matrix.identity(d))
 
 
@@ -132,7 +132,7 @@ def canonical_form(a: MultiplicityFunction, conv: Convention = EPS1) -> JordanFo
     # a layout lists the blocks of one factor together
     for p, group in groupby(blocks, key=lambda b: b.p):
         d = p.degree
-        xp = companion(p, conv).matrix.nonzero_rows
+        xp = companion(p, conv).nonzero_rows
         for b in group:
             for m in range(b.n):
                 row0 = b.offset + m * d
@@ -280,33 +280,30 @@ def _similarity(
     conv: Convention = EPS1,
 ) -> tuple[Matrix, Matrix, JordanForm]:
     """(S, S^-1, canonical form) with S t S^-1 = J(aleph_t); S^-1 is the
-    column-stacked chain basis, so callers that need it invert nothing."""
+    column-stacked chain basis, so callers that need it invert nothing.
+
+    The chains are stacked as they are found: the filtrations list the
+    factors by sort key and each factor's heights ascend, the order of
+    aleph's entries and so of J's blocks."""
     filtrations = _filtrations(t, hints)
     a = _aleph_from(t, filtrations)
     if a.is_zero:
         # the zero-dimensional matrix; S is empty
         j = JordanForm(t, a, conv, (), ())
         return Matrix.identity(0), Matrix.identity(0), j
-    columns: dict[tuple[IrreduciblePoly, int], list[list]] = {}
+    columns: list[tuple] = []
     for p, (pt, kers) in filtrations.items():
         counts = {n: m for (q, n), m in a.items() if q == p}
         xhat = lift_root(p, len(kers) - 2)(t)
         nil = t - xhat
         basis_ops = ext_basis_matrices(p, conv, xhat)
-        tops = _chain_tops(pt, kers, counts, basis_ops)
-        for n in sorted(counts):
-            for v in tops[n]:
+        for n, tops in _chain_tops(pt, kers, counts, basis_ops).items():
+            for v in tops:
                 chain = [v]  # nil^(n-m) v for m = n down to 1
                 for _ in range(n - 1):
                     chain.append(nil.apply(chain[-1]))
-                chain_cols = [list(op.apply(em))
-                              for em in reversed(chain) for op in basis_ops]
-                columns.setdefault((p, n), []).append(chain_cols)
-    ordered: list[list] = []
-    for (p, n), _m in a.items():
-        for chain_cols in columns[(p, n)]:
-            ordered.extend(chain_cols)
-    s_inv = Matrix.column_stack(ordered)
+                columns.extend(op.apply(em) for em in reversed(chain) for op in basis_ops)
+    s_inv = Matrix.column_stack(columns)
     s = invert(s_inv)
     j = canonical_form(a, conv)
     verify(s * t == j.matrix * s, "similarity postcondition failed", check="similarity")
@@ -366,7 +363,7 @@ def invariant_subspace_from(
                              "which J does not have")
         terms.setdefault((p, n, beta), []).append((k, alpha, shift, val))
     root = Matrix.block_diag([
-        Matrix.identity(b.n).kron(companion(b.p, j.convention).matrix)
+        Matrix.identity(b.n).kron(companion(b.p, j.convention))
         for b in j.blocks
     ])
     vectors: list[tuple] = []

@@ -7,7 +7,7 @@ square shape.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
@@ -40,9 +40,9 @@ from .multiplicity import (
 )
 from .equations import (
     SolutionSpace,
+    _checked_intertwiners,
     _lambda_intertwiners,
     _transpose_pair_basis,
-    solve_lambda_comm,
     u_aleph,
     v_aleph,
 )
@@ -107,9 +107,13 @@ def _labeled(l: AlmostAbelianAlgebra, coords: Sequence[int]) -> list[LabeledVect
 
 
 def centre(l: AlmostAbelianAlgebra) -> list[LabeledVector]:
-    """Z(L) = ker ad_e0: the bottom chain vectors of the X blocks."""
+    """Z(L): ker J, the bottom chain vectors of the X blocks, and e0 as
+    well when J = 0 (every block is (X,1)), since then L is Abelian."""
     xp = x_irreducible()
-    return _labeled(l, [b.offset for b in l.form.blocks if b.p == xp])
+    z = _labeled(l, [b.offset for b in l.form.blocks if b.p == xp])
+    if l.form.matrix.is_zero:
+        z.insert(0, LabeledVector(None, l.unit(0)))
+    return z
 
 
 def lower_central_series(l: AlmostAbelianAlgebra, k: int) -> list[LabeledVector]:
@@ -248,7 +252,9 @@ class AutomorphismSpace:
         return self.algebra.form.dim
 
     def delta_space(self, nu) -> SolutionSpace:
-        return solve_lambda_comm(self.algebra.form, self._dilation(nu))
+        j = self.algebra.form
+        return SolutionSpace((j.dim, j.dim),
+                             _checked_intertwiners(j.matrix, self._dilation(nu), j))
 
     def _dilation(self, nu) -> Fraction:
         nu = _frac(nu)
@@ -362,12 +368,6 @@ def is_automorphism(l: AlmostAbelianAlgebra, phi: Matrix) -> bool:
     )
 
 
-def _verify_derivations(l: AlmostAbelianAlgebra, basis: Sequence[Matrix]) -> None:
-    for k, d in enumerate(basis):
-        verify(is_derivation(l, d), "derivation identity failed",
-               check="derivation", index=k)
-
-
 def derivation_space(l: AlmostAbelianAlgebra) -> SolutionSpace:
     """Der(L) as an explicit basis of full coordinate matrices.
 
@@ -377,20 +377,20 @@ def derivation_space(l: AlmostAbelianAlgebra) -> SolutionSpace:
     with U = U(aleph) when L is nilpotent; and the corner unit maps
     W -> Z(L0), L0/(L0)_(1) -> W and W -> W.  Each element is checked
     once as a derivation of L.  L is split once; _split rejects a
-    Heisenberg or Abelian core L0.
+    Heisenberg or Abelian core L0.  The Delta elements are written in L's
+    coordinates directly, from L0's blocks shifted past e0.
     """
     s = _split(l)
     n = l.dimension
-    v = range(1, n)  # the V coordinates: V -> V maps extend by zero on e0
     basis = [_unit_matrix(n, i, 0) for i in s.core]
-    basis.extend(
-        r.embed(n, n, v, v)
-        for r in _lambda_intertwiners(s.blocks, l.convention, 1, l.form.dim)
-    )
+    shifted = [replace(b, offset=1 + b.offset) for b in s.blocks]
+    basis.extend(_lambda_intertwiners(shifted, l.convention, 1, n))
     if is_nilpotent(l):
-        basis.append(u_aleph(l.aleph).embed(n, n, v, v) + _unit_matrix(n, 0, 0))
+        basis.append(Matrix.block_diag([Matrix.identity(1), u_aleph(l.aleph)]))
     basis.extend(m for corner in s.corners for m in corner)
-    _verify_derivations(l, basis)
+    for k, d in enumerate(basis):
+        verify(is_derivation(l, d), "derivation identity failed",
+               check="derivation", index=k)
     return SolutionSpace((n, n), tuple(basis))
 
 

@@ -215,31 +215,22 @@ def rotation_parameters(p: Polynomial) -> tuple[Fraction, Fraction]:
     return a, b
 
 
-@dataclass(frozen=True)
-class CompanionMatrix:
-    matrix: Matrix
-    source: IrreduciblePoly
-    convention: Convention
-
-
-def companion(p: IrreduciblePoly, conv: Convention = EPS1) -> CompanionMatrix:
-    """Matrix realization of a root of p acting on Q[X]/(p)."""
+def companion(p: IrreduciblePoly, conv: Convention = EPS1) -> Matrix:
+    """x_p: the matrix realization of a root of p acting on Q[X]/(p)."""
     d = p.degree
     if d == 1:
-        m = Matrix(1, 1, [-p.poly.coeff(0)])
-    elif conv.epsilon == 0:
+        return Matrix(1, 1, [-p.poly.coeff(0)])
+    if conv.epsilon == 0:
         if d != 2:
             raise ConventionError("epsilon=0 companion form exists only for degree 2")
         a, b = rotation_parameters(p.poly)
-        m = Matrix.from_rows([[a, -b], [b, a]])
-    else:
-        rows = [[Fraction(0)] * d for _ in range(d)]
-        for i in range(1, d):
-            rows[i][i - 1] = Fraction(1)
-        for i in range(d):
-            rows[i][d - 1] = -p.poly.coeff(i)
-        m = Matrix.from_rows(rows)
-    return CompanionMatrix(m, p, conv)
+        return Matrix.from_rows([[a, -b], [b, a]])
+    rows = [[Fraction(0)] * d for _ in range(d)]
+    for i in range(1, d):
+        rows[i][i - 1] = Fraction(1)
+    for i in range(d):
+        rows[i][d - 1] = -p.poly.coeff(i)
+    return Matrix.from_rows(rows)
 
 
 def ext_basis_matrices(
@@ -252,7 +243,7 @@ def ext_basis_matrices(
     root^k, k < deg p; for epsilon=0 they are {id, (root - a)/b},
     matching the rotation-scaling coordinates.
     """
-    xp = companion(p, conv).matrix if root is None else root
+    xp = companion(p, conv) if root is None else root
     d = p.degree
     if conv.epsilon == 0 and d == 2:
         a, b = rotation_parameters(p.poly)

@@ -11,6 +11,7 @@ from fractions import Fraction
 from jordanable import (
     AlmostAbelianAlgebra,
     EPS0,
+    EPS1,
     InvariantSubspaceSpec,
     Matrix,
     aleph,
@@ -190,8 +191,8 @@ def test_criterion_3_structural_lemmas():
     ]
     lambdas = [Fraction(-1), Fraction(2), Fraction(1, 3)]
     for p, forced in polys:
-        conv = forced or companion(p).convention
-        x = companion(p, conv).matrix
+        conv = forced or EPS1
+        x = companion(p, conv)
         w = w_matrix(p, conv)
         ok = ok and w == w.transpose() and w * x == x.transpose() * w
         for lam in lambdas:
@@ -206,7 +207,7 @@ def test_criterion_3_structural_lemmas():
             vd = v_matrix(p.degree, scale)
             ok = ok and invert(vd) * x.scale(lam) * vd == companion(
                 star_irreducible(lam, p), conv
-            ).matrix
+            )
     report(3, ok, "structural lemmas U, P, W and both V identities, exact")
 
 
@@ -285,13 +286,13 @@ def test_criterion_7_classification():
          canonical_form(aleph((irr("X"), 2, 1), (irr("X"), 1, 1))).matrix),
         (mat([[1, 0], [0, 2]]), mat([[1, 0], [0, 3]])),
         (mat([[1, 0], [0, -1]]), mat([[1, 0, 0], [0, -1, 0], [0, 0, 2]])),
-        (companion(irr("X^2 + 1")).matrix, mat([[1, 0], [0, -1]])),
+        (companion(irr("X^2 + 1")), mat([[1, 0], [0, -1]])),
         (canonical_form(aleph((irr("X - 1"), 2, 1))).matrix, Matrix.identity(2)),
         (mat([[1, 0, 0], [0, 2, 0], [0, 0, 4]]), mat([[1, 0, 0], [0, 2, 0], [0, 0, 5]])),
         (mat([[2, 0], [0, -2]]), mat([[3, 0], [0, 3]])),
         (canonical_form(aleph((irr("X"), 2, 2))).matrix,
          canonical_form(aleph((irr("X"), 3, 1), (irr("X"), 1, 1))).matrix),
-        (companion(irr("X^2 + 1")).matrix, companion(irr("X^2 + X + 1")).matrix),
+        (companion(irr("X^2 + 1")), companion(irr("X^2 + X + 1"))),
     ]
     for t1, t2 in non_iso:
         ok = ok and classify_iso(t1, t2) is None

@@ -118,6 +118,14 @@ SOLVE_GOLDEN = json.loads(
 CLASSIFY_GOLDEN = json.loads(
     (Path(__file__).parent / "golden_classify.json").read_text(encoding="utf-8")
 )
+# `jordanize` (per epsilon) and `extract-mult` on seeded conjugated
+# matrices (oracle.random_instance at dim <= 8), on rotation-splittable
+# quadratics, on a hinted quartic and on a cubic at eps = 0; the matrices
+# ("inputs") and the pinned answers are golden_jordanize.json, keyed
+# "<verb>:<name>" plus "/eps<epsilon>" for jordanize
+JORDANIZE_GOLDEN = json.loads(
+    (Path(__file__).parent / "golden_jordanize.json").read_text(encoding="utf-8")
+)
 
 
 def term(p, n, beta, k, alpha, shift, value=1):
@@ -323,6 +331,21 @@ class TestMatrixVerbs:
                   for i, m in enumerate(CLASSIFY_GOLDEN["inputs"][name]))
         code, out = run(capsys, [*verb.split(), m1, m2, "--epsilon", eps[3:]])
         want = CLASSIFY_GOLDEN["answers"][case]
+        assert code == want["exit"]
+        assert out == json.dumps(want["stdout"], separators=(",", ":"))
+
+    @pytest.mark.parametrize("case", sorted(JORDANIZE_GOLDEN["answers"]))
+    def test_jordanize_golden(self, tmp_path, capsys, case):
+        verb, rest = case.split(":")
+        name, _, eps = rest.partition("/eps")
+        given = JORDANIZE_GOLDEN["inputs"][name]
+        argv = [verb, write(tmp_path, "m.json", given["matrix"])]
+        if "hints" in given:
+            argv += ["--hints", write(tmp_path, "h.json", given["hints"])]
+        if eps:
+            argv += ["--epsilon", eps]
+        code, out = run(capsys, argv)
+        want = JORDANIZE_GOLDEN["answers"][case]
         assert code == want["exit"]
         assert out == json.dumps(want["stdout"], separators=(",", ":"))
 

@@ -27,10 +27,11 @@ from jordanable import (
     is_derivation,
     is_nilpotent,
     lower_central_series,
-    solve_lambda_comm,
+    solve_inhom_comm,
     solve_transpose_pair,
 )
-from jordanable.field import invert
+from jordanable.equations import _checked_intertwiners
+from jordanable.field import invert, row_reduce
 from jordanable.liealg import LabeledVector, _split
 from jordanable.oracle import EquationSpec, brute_solve, random_unimodular
 from jordanable.spectrum import Convention, star_irreducible, x_irreducible
@@ -119,6 +120,47 @@ class TestStructure:
         assert w == 1
         assert l0 == aleph((irr("X^3 - 2"), 2, 1))
         assert decompose(AlmostAbelianAlgebra(cubic_aleph))[0].dim == 6
+
+
+def bracket_kernel(l):
+    """Z(L) from the bracket alone: the kernel of x -> ([x, e_i])_i."""
+    units = [l.unit(i) for i in range(l.dimension)]
+    # column k stacks [e_k, e_i] over every unit e_i
+    return row_reduce(Matrix.column_stack(
+        [[c for e in units for c in bracket(l, u, e)] for u in units]
+    )).kernel
+
+
+class TestCentreIsBracketKernel:
+    """centre(L) spans the kernel of x -> ([x, e_i])_i: Abelian algebras
+    (J = 0, so e0 is central), Heisenberg cores, X chains with and
+    without W, and non-nilpotent blocks."""
+
+    @pytest.mark.parametrize("entries, eps", [
+        ([("X", 1, 1)], 1),
+        ([("X", 1, 3)], 0),
+        ([("X", 1, 3)], 1),
+        ([("X", 2, 1)], 1),
+        ([("X", 2, 1), ("X", 1, 2)], 0),
+        ([("X^2 + 1", 1, 2), ("X", 3, 1), ("X", 1, 1)], 0),
+        ([("X - 1", 1, 1), ("X", 2, 2)], 1),
+    ])
+    def test_listed(self, entries, eps):
+        l = AlmostAbelianAlgebra(aleph(*((irr(p), n, m) for p, n, m in entries)),
+                                 Convention(eps))
+        self.check(l)
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_seeded(self, seed):
+        self.check(seeded_split_algebra(seed))
+
+    @staticmethod
+    def check(l):
+        z = [v.vector for v in centre(l)]
+        kernel = bracket_kernel(l)
+        assert len(z) == len(kernel)
+        if z:
+            assert row_reduce(Matrix.from_rows([*kernel, *z])).rank == len(z)
 
 
 class TestClassifyIso:
@@ -401,7 +443,10 @@ class TestSplitFromBlocks:
     def test_centre_and_lcs_match_index_reference(self, seed):
         l = seeded_split_algebra(seed)
         xp = x_irreducible()
-        assert centre(l) == reference_labeled(l, lambda x: x.p == xp and x.m == 1)
+        want = reference_labeled(l, lambda x: x.p == xp and x.m == 1)
+        if all(x.p == xp and x.n == 1 for x in l.form.index):  # L is Abelian
+            want.insert(0, LabeledVector(None, l.unit(0)))
+        assert centre(l) == want
         for k in (1, 2, 3):
             assert lower_central_series(l, k) == reference_labeled(
                 l, lambda x, k=k: x.p != xp or x.m <= x.n - k
@@ -610,11 +655,12 @@ class TestOneCheckPerAnswer:
         import jordanable.equations as equations_mod
         import jordanable.liealg as liealg_mod
 
-        checks, forms = [], []
+        checks, forms = [], []  # the check name of each verify call
         for mod in (equations_mod, liealg_mod):
             verify, form = mod.verify, mod.canonical_form
             monkeypatch.setattr(
-                mod, "verify", lambda *a, _v=verify, **k: checks.append(a) or _v(*a, **k)
+                mod, "verify",
+                lambda *a, _v=verify, **k: checks.append(k["check"]) or _v(*a, **k),
             )
             monkeypatch.setattr(
                 mod, "canonical_form", lambda *a, _f=form: forms.append(a) or _f(*a)
@@ -632,13 +678,19 @@ class TestOneCheckPerAnswer:
 
     def test_lambda_commutation(self, chains, counted):
         checks, forms = counted
-        space = solve_lambda_comm(chains.form, 2)
-        assert (space.dim, len(checks), len(forms)) == (9, 9, 0)
+        basis = _checked_intertwiners(chains.form.matrix, 2, chains.form)
+        assert (len(basis), len(checks), len(forms)) == (9, 9, 0)
 
     def test_commutant(self, chains, counted):
         checks, forms = counted
-        space = solve_lambda_comm(chains.form, 1)
-        assert (space.dim, len(checks), len(forms)) == (9, 9, 0)
+        basis = _checked_intertwiners(chains.form.matrix, 1, chains.form)
+        assert (len(basis), len(checks), len(forms)) == (9, 9, 0)
+
+    def test_inhomogeneous(self, chains, counted):
+        checks, _forms = counted
+        space = solve_inhom_comm(chains.form.matrix)
+        assert space.dim == 9
+        assert checks == ["inhomogeneous-commutation"] + ["lambda-commutation"] * 9
 
     def test_derivations(self, counted):
         checks, forms = counted
@@ -646,6 +698,19 @@ class TestOneCheckPerAnswer:
         forms.clear()  # the algebra's own form
         space = derivation_space(l)
         assert (space.dim, len(checks), len(forms)) == (21, 21, 0)
+
+    def test_derivations_embed_only_units(self, monkeypatch):
+        """The Delta and nilpotent elements are written in L's coordinates:
+        the only embeds are the 1 x 1 units of gamma and the corners."""
+        l = AlmostAbelianAlgebra(aleph((irr("X"), 3, 1), (irr("X"), 2, 1), (irr("X"), 1, 1)))
+        s = _split(l)
+        units = len(s.core) + sum(map(len, s.corners))
+        embedded, embed = [], Matrix.embed
+        monkeypatch.setattr(
+            Matrix, "embed", lambda m, *a: embedded.append(m.rows * m.cols) or embed(m, *a)
+        )
+        assert derivation_space(l).dim == 21
+        assert embedded == [1] * units
 
 
 class TestSubalgebraIdeal:
