@@ -1,11 +1,11 @@
 """Structured solution spaces of the three operator equations.
 
 The solvers never run a generic linear solve: each basis element is
-written cell by cell from the closed forms of one block pair (the
-V(lam) diagonal, a shifted nilpotent intertwiner, an extension-basis
-matrix and, for Z J + J^T Z = 0, each factor's W_p^eps applied to the
-rows of X), then checked once by substitution.  V_n, U_n, P_n, W_p^eps
-and their direct sums stay public as the paper's closed forms.
+written row by row from its nonzeros, from the closed forms of one block
+pair (the V(lam) diagonal, a shifted nilpotent intertwiner, an
+extension-basis matrix and, for Z J + J^T Z = 0, W(aleph) times X), then
+checked once by substitution.  V_n, U_n, P_n, W_p^eps and their direct
+sums stay public as the paper's closed forms.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from itertools import groupby
 from typing import Optional, Sequence
 
 from .errors import ZeroMultiplicityFunction, verify
-from .field import _ONE, _ZERO, Matrix, _frac, _matrix, span_contains
+from .field import _ONE, Matrix, _frac, _row_product, _sparse, span_contains
 from .jordan import Block, JordanForm, _similarity, block_layout, canonical_form
 from .multiplicity import MultiplicityFunction
 from .spectrum import (
@@ -104,12 +104,10 @@ def nilpotent_intertwiners(m: int, n: int) -> SolutionSpace:
     """
     if m < 1 or n < 1:
         raise ValueError("block sizes must be >= 1")
-    basis = []
-    for d in range(max(0, m - n), m):
-        entries = [
-            _ONE if j - i == d else _ZERO for i in range(n) for j in range(m)
-        ]
-        basis.append(_matrix(n, m, entries))
+    basis = [
+        _sparse(n, m, tuple([((i + d, _ONE),) if i + d < m else () for i in range(n)]))
+        for d in range(max(0, m - n), m)
+    ]
     return SolutionSpace((n, m), tuple(basis))
 
 
@@ -190,14 +188,15 @@ def _lambda_intertwiners(
             for bj in partners:
                 for t in range(max(0, bj.n - bi.n), bj.n):
                     for e in ext:
-                        cells = [_ZERO] * (dim * dim)
+                        rows: list = [()] * dim
                         for r in range(bj.n - t):
                             row0, col0 = bi.offset + r * d, bj.offset + (r + t) * d
                             for a, pairs in enumerate(e):
-                                v, at = diag[r * d + a], (row0 + a) * dim + col0
-                                for b, x in pairs:
-                                    cells[at + b] = x if v is _ONE else v * x
-                        out.append(_matrix(dim, dim, cells))
+                                v = diag[r * d + a]
+                                rows[row0 + a] = tuple([
+                                    (col0 + b, x if v is _ONE else v * x) for b, x in pairs
+                                ])
+                        out.append(_sparse(dim, dim, tuple(rows)))
     return out
 
 
@@ -216,11 +215,11 @@ def u_aleph(a: MultiplicityFunction) -> Matrix:
     return Matrix.block_diag([u_matrix(b.n) for b in block_layout(a)])
 
 
-def _w_rows(blocks: Sequence[Block], conv: Convention, dim: int) -> list[list]:
-    """The nonzero (column, entry) pairs of each row of W(aleph), as in
-    Matrix.nonzero_rows, from each factor's W_p, found once per factor:
-    row (i, r, a) holds W_p[a, a'] at column (i, n_i - 1 - r, a')."""
-    rows: list[list] = [[] for _ in range(dim)]
+def _w_matrix(blocks: Sequence[Block], conv: Convention, dim: int) -> Matrix:
+    """W(aleph) over the given layout, written row by row from each
+    factor's W_p, found once per factor: row (i, r, a) holds W_p[a, a']
+    at column (i, n_i - 1 - r, a')."""
+    rows: list = [()] * dim
     for p, group in groupby(blocks, key=lambda b: b.p):
         d = p.degree
         wp = w_matrix(p, conv).nonzero_rows
@@ -228,21 +227,13 @@ def _w_rows(blocks: Sequence[Block], conv: Convention, dim: int) -> list[list]:
             for r in range(b.n):
                 row0, col0 = b.offset + r * d, b.offset + (b.n - 1 - r) * d
                 for a, pairs in enumerate(wp):
-                    rows[row0 + a] = [(col0 + c, x) for c, x in pairs]
-    return rows
+                    rows[row0 + a] = tuple([(col0 + c, x) for c, x in pairs])
+    return _sparse(dim, dim, tuple(rows))
 
 
 def w_aleph(a: MultiplicityFunction, conv: Convention = EPS1) -> Matrix:
-    """W(aleph) = direct sum of P_n tensor W_p^eps; symmetric and invertible.
-
-    The paper's closed form as a public function, written cell by cell;
-    the library never forms it: _transpose_pair_basis reads its rows."""
-    dim = a.dim
-    cells = [_ZERO] * (dim * dim)
-    for i, row in enumerate(_w_rows(block_layout(a), conv, dim)):
-        for c, x in row:
-            cells[i * dim + c] = x
-    return _matrix(dim, dim, cells)
+    """W(aleph) = direct sum of P_n tensor W_p^eps; symmetric and invertible."""
+    return _w_matrix(block_layout(a), conv, a.dim)
 
 
 def _checked_intertwiners(
@@ -309,22 +300,16 @@ def _transpose_pair_basis(j: JordanForm) -> list[Matrix]:
     """Unchecked basis Z = W(aleph) X of the Z with Z J + J^T Z = 0, for X
     over the lambda = -1 intertwiners of J = J(aleph).
 
-    Z is written in place from X's rows and W(aleph) is never formed: row
-    (i, r, a) of Z is the sum over a' of W_p[a, a'] times row
-    (i, n_i - 1 - r, a') of X, read from X's nonzero view."""
+    Z is written row by row from X's nonzero rows: row (i, r, a) of Z is
+    the sum over a' of W_p[a, a'] times row (i, n_i - 1 - r, a') of X, so
+    it costs at most deg p multiplications per nonzero of X."""
     dim = j.dim
-    w = _w_rows(j.blocks, j.convention, dim)
+    w = _w_matrix(j.blocks, j.convention, dim).nonzero_rows
+    acc = [None] * dim
     out = []
     for x in _lambda_intertwiners(j.blocks, j.convention, -1, dim):
         xrows = x.nonzero_rows
-        cells = [_ZERO] * (dim * dim)
-        for i, row in enumerate(w):
-            at = i * dim
-            for k, a in row:
-                for c, v in xrows[k]:
-                    y = cells[at + c]
-                    cells[at + c] = a * v if y is _ZERO else y + a * v
-        out.append(_matrix(dim, dim, cells))
+        out.append(_sparse(dim, dim, tuple([_row_product(row, xrows, acc) for row in w])))
     return out
 
 

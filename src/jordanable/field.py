@@ -1,22 +1,25 @@
-"""Exact field arithmetic and exact dense linear algebra.
+"""Exact field arithmetic and exact linear algebra.
 
 The ground field is Q, realized by :class:`fractions.Fraction`.  All
 types are immutable values and all functions are pure; there is no
 floating point anywhere in this package.
 
-Matrices are stored dense, but the operators of this package are sparse
-in a Jordan basis (J(aleph) has O(n) nonzeros).  Each matrix therefore
-keeps a row-wise view of its nonzero (column, entry) pairs, computed on
-first use and kept, like a cached hash: products, ``kron``, ``apply`` and
-``embed`` read it for their operands, so a product costs one
-multiplication per pair of nonzeros that meet, not n^3, and a matrix
-that takes part in many products has its zeros scanned once.
+The operators of this package are sparse in a Jordan basis (J(aleph) has
+O(n) nonzeros, and each structure basis element is a unit map or a
+shifted intertwiner), so a matrix is stored by its nonzero rows: per
+row, the (column, entry) pairs of its nonzero entries in increasing
+column order.  Arithmetic reads and writes only those pairs: a product
+costs one multiplication per pair of nonzeros that meet, not n^3, and a
+sum, a comparison or a transpose one step per nonzero, not per cell.
+Matrices read from dense data keep their dense tuple as well, and
+elimination works on dense rows.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import compress
+from operator import itemgetter
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 
@@ -229,17 +232,22 @@ def poly_xgcd(a: Polynomial, b: Polynomial):
 
 
 class Matrix:
-    """Immutable dense matrix with exact entries, row-major storage.
+    """Immutable exact matrix, stored by its nonzero entries.
 
-    Storage is dense, but the arithmetic skips zeros: a product, ``kron``
-    and ``apply`` multiply only nonzero entries of both operands, and a
-    result cell that no product reaches is the shared ``Fraction(0)``.
-    They find those entries in ``nonzero_rows``, the nonzero view, which
-    is computed once per matrix on first use; it is derived from
-    ``entries`` alone, so ``==`` and ``hash`` never read it.
+    The canonical form is ``nonzero_rows``: per row, the (column, entry)
+    pairs of its nonzero entries in strictly increasing column order.
+    ``==`` and ``hash`` read it, and ``+``, ``-``, ``scale``, products,
+    ``transpose``, ``kron``, ``embed`` and the structured constructors
+    build their results in it, row by row over the nonzeros of their
+    operands, dropping the zeros that cancel.  The dense row-major
+    ``entries`` tuple of such a result is derived on first use and kept.
+    A matrix built from dense data (the public constructor, ``from_rows``,
+    ``column_stack``, an elimination's rref) keeps its dense tuple and
+    derives the nonzero view on first use instead.  Either is kept once
+    made, which is safe as neither ever changes.
     """
 
-    __slots__ = ("rows", "cols", "entries", "_nonzero_rows")
+    __slots__ = ("rows", "cols", "_entries", "_nonzero_rows")
 
     def __init__(self, rows: int, cols: int, entries: Iterable):
         es = tuple(_frac(x) for x in entries)
@@ -247,7 +255,7 @@ class Matrix:
             raise ValueError("entry count does not match shape")
         self.rows = rows
         self.cols = cols
-        self.entries = es
+        self._entries = es
         self._nonzero_rows = None
 
     # -- constructors ------------------------------------------------
@@ -262,34 +270,25 @@ class Matrix:
 
     @staticmethod
     def identity(n: int) -> "Matrix":
-        out = [_ZERO] * (n * n)
-        out[:: n + 1] = [_ONE] * n
-        return _matrix(n, n, out)
+        return _sparse(n, n, tuple([((i, _ONE),) for i in range(n)]))
 
     @staticmethod
     def zeros(r: int, c: int) -> "Matrix":
-        return _matrix(r, c, (_ZERO,) * (r * c))
+        return _sparse(r, c, ((),) * r)
 
     @staticmethod
     def diagonal(values: Sequence) -> "Matrix":
-        n = len(values)
-        out = [_ZERO] * (n * n)
-        out[:: n + 1] = [_frac(x) for x in values]
-        return _matrix(n, n, out)
+        es = [_frac(x) for x in values]
+        return _sparse(len(es), len(es), tuple([((i, x),) if x else () for i, x in enumerate(es)]))
 
     @staticmethod
     def block_diag(blocks: Sequence["Matrix"]) -> "Matrix":
-        r = sum(b.rows for b in blocks)
-        c = sum(b.cols for b in blocks)
-        out = [_ZERO] * (r * c)
-        i0 = j0 = 0
+        out: list = []
+        c = 0
         for b in blocks:
-            for i in range(b.rows):
-                at = (i0 + i) * c + j0
-                out[at : at + b.cols] = b.row(i)
-            i0 += b.rows
-            j0 += b.cols
-        return _matrix(r, c, out)
+            out += [tuple([(c + j, x) for j, x in row]) for row in b.nonzero_rows]
+            c += b.cols
+        return _sparse(len(out), c, tuple(out))
 
     @staticmethod
     def column_stack(columns: Sequence[Sequence]) -> "Matrix":
@@ -301,36 +300,62 @@ class Matrix:
 
     # -- access -------------------------------------------------------
 
-    def __getitem__(self, ij) -> Fraction:
-        i, j = ij
-        return self.entries[i * self.cols + j]
-
-    def row(self, i: int) -> tuple:
-        return self.entries[i * self.cols : (i + 1) * self.cols]
-
-    def column(self, j: int) -> tuple:
-        return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
+    @property
+    def entries(self) -> tuple:
+        """The dense row-major entries; derived from the nonzero view on
+        first use and kept."""
+        es = self._entries
+        if es is None:
+            c = self.cols
+            out = [_ZERO] * (self.rows * c)
+            for i, row in enumerate(self._nonzero_rows):
+                at = i * c
+                for j, x in row:
+                    out[at + j] = x
+            es = self._entries = tuple(out)
+        return es
 
     @property
     def nonzero_rows(self) -> tuple[tuple[tuple[int, Fraction], ...], ...]:
-        """Per row, its nonzero (column, entry) pairs in column order;
-        computed on first use and kept, which is safe as entries never
-        change."""
+        """Per row, its nonzero (column, entry) pairs in column order: the
+        canonical form, derived from ``entries`` on first use when the
+        matrix was built from dense data."""
         view = self._nonzero_rows
         if view is None:
-            c, e = self.cols, self.entries
+            c, e = self.cols, self._entries
             rows = [e[i * c : (i + 1) * c] for i in range(self.rows)]
             view = self._nonzero_rows = tuple(
                 [tuple(compress(enumerate(row), row)) for row in rows]
             )
         return view
 
+    def __getitem__(self, ij) -> Fraction:
+        i, j = ij
+        return self.entries[i * self.cols + j]
+
+    def row(self, i: int) -> tuple:
+        c = self.cols
+        if self._entries is not None:
+            return self._entries[i * c : (i + 1) * c]
+        out = [_ZERO] * c
+        for j, x in self._nonzero_rows[i]:
+            out[j] = x
+        return tuple(out)
+
+    def column(self, j: int) -> tuple:
+        return tuple([next((x for k, x in row if k == j), _ZERO) for row in self.nonzero_rows])
+
     def to_rows(self) -> list[list[Fraction]]:
         return [list(self.row(i)) for i in range(self.rows)]
 
     def vec(self) -> tuple:
         """Column-stacked vectorization."""
-        return self.transpose().entries
+        r = self.rows
+        out = [_ZERO] * (r * self.cols)
+        for i, row in enumerate(self.nonzero_rows):
+            for j, x in row:
+                out[j * r + i] = x
+        return tuple(out)
 
     @staticmethod
     def unvec(v: Sequence, rows: int, cols: int) -> "Matrix":
@@ -341,44 +366,34 @@ class Matrix:
     def __add__(self, other: "Matrix") -> "Matrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
-        return _matrix(self.rows, self.cols, [
-            (a + b if a else b) if b else a for a, b in zip(self.entries, other.entries)
-        ])
+        return _sparse(self.rows, self.cols,
+                       tuple(map(_add_rows, self.nonzero_rows, other.nonzero_rows)))
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        return _matrix(self.rows, self.cols, [
-            (a - b if a else -b) if b else a for a, b in zip(self.entries, other.entries)
-        ])
+        return self + -other
 
     def __neg__(self) -> "Matrix":
-        return _matrix(self.rows, self.cols, [-a if a else a for a in self.entries])
+        return _sparse(self.rows, self.cols, tuple(
+            [tuple([(j, -x) for j, x in row]) for row in self.nonzero_rows]))
 
     def scale(self, c) -> "Matrix":
         c = _frac(c)
         if not c:
             return Matrix.zeros(self.rows, self.cols)
-        return _matrix(self.rows, self.cols, [c * a if a else a for a in self.entries])
+        if c == 1:
+            return self
+        return _sparse(self.rows, self.cols, tuple(
+            [tuple([(j, c * x) for j, x in row]) for row in self.nonzero_rows]))
 
     def __mul__(self, other):
         if not isinstance(other, Matrix):
             return self.scale(other)
         if self.cols != other.rows:
             raise ValueError("shape mismatch in product")
-        m = other.cols
         pairs = other.nonzero_rows
-        out = []
-        for row in self.nonzero_rows:
-            # a cell is _ZERO until its first product lands; products are
-            # fresh objects, so the identity test never confuses the two
-            acc = [_ZERO] * m
-            for k, a in row:
-                for j, x in pairs[k]:
-                    y = acc[j]
-                    acc[j] = a * x if y is _ZERO else y + a * x
-            out += acc
-        return _matrix(self.rows, m, out)
+        acc = [None] * other.cols
+        return _sparse(self.rows, other.cols,
+                       tuple([_row_product(row, pairs, acc) for row in self.nonzero_rows]))
 
     def __rmul__(self, other):
         return self.scale(other)
@@ -410,46 +425,43 @@ class Matrix:
         return tuple(out)
 
     def transpose(self) -> "Matrix":
-        c = self.cols
-        return _matrix(c, self.rows, [x for j in range(c) for x in self.entries[j::c]])
+        cols: list[list] = [[] for _ in range(self.cols)]
+        for i, row in enumerate(self.nonzero_rows):
+            for j, x in row:
+                cols[j].append((i, x))
+        return _sparse(self.cols, self.rows, tuple(map(tuple, cols)))
 
     def kron(self, other: "Matrix") -> "Matrix":
         """Block matrix with self's entries multiplying copies of other."""
-        r, c = self.rows * other.rows, self.cols * other.cols
-        out = [_ZERO] * (r * c)
-        # (offset in a block, entry) for the nonzero entries of other
-        pairs = [(k * c + l, x) for k, row in enumerate(other.nonzero_rows) for l, x in row]
-        for i, row in enumerate(self.nonzero_rows):
-            for j, a in row:
-                base = i * other.rows * c + j * other.cols
-                for off, x in pairs:
-                    out[base + off] = a * x
-        return _matrix(r, c, out)
+        oc = other.cols
+        return _sparse(self.rows * other.rows, self.cols * oc, tuple([
+            tuple([(j * oc + l, a * x) for j, a in row for l, x in orow])
+            for row in self.nonzero_rows for orow in other.nonzero_rows
+        ]))
 
     def embed(
         self, rows: int, cols: int, row_coords: Sequence[int], col_coords: Sequence[int]
     ) -> "Matrix":
         """The rows x cols matrix with self[i, j] at (row_coords[i],
-        col_coords[j]) and zeros elsewhere."""
-        out = [_ZERO] * (rows * cols)
+        col_coords[j]) and zeros elsewhere; the coordinates are distinct."""
+        out = [()] * rows
         for gi, row in zip(row_coords, self.nonzero_rows):
-            for j, x in row:
-                out[gi * cols + col_coords[j]] = x
-        return _matrix(rows, cols, out)
+            out[gi] = tuple(sorted([(col_coords[j], x) for j, x in row], key=itemgetter(0)))
+        return _sparse(rows, cols, tuple(out))
 
     @property
     def is_zero(self) -> bool:
-        return not any(self.entries)
+        return not any(self.nonzero_rows)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Matrix)
             and (self.rows, self.cols) == (other.rows, other.cols)
-            and self.entries == other.entries
+            and self.nonzero_rows == other.nonzero_rows
         )
 
     def __hash__(self) -> int:
-        return hash((self.rows, self.cols, self.entries))
+        return hash((self.rows, self.cols, self.nonzero_rows))
 
     def __repr__(self) -> str:
         body = "; ".join(" ".join(str(x) for x in self.row(i)) for i in range(self.rows))
@@ -460,14 +472,75 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
+def _row_product(row: tuple, rows: tuple, acc: list) -> tuple:
+    """The canonical row sum of a * rows[k] over the (k, a) of a canonical
+    row: one multiplication per pair of nonzeros that meet.  acc is a
+    scratch list of None, one per column, and is left as it was found."""
+    if len(row) < 2:  # zero or a multiple of one row: no sums
+        if not row:
+            return row
+        k, a = row[0]
+        return rows[k] if a is _ONE else tuple([(j, a * x) for j, x in rows[k]])
+    hit = []
+    for k, a in row:
+        for j, x in rows[k]:
+            y = acc[j]
+            if y is None:
+                acc[j] = a * x
+                hit.append(j)
+            else:
+                acc[j] = y + a * x
+    hit.sort()
+    out = []
+    for j in hit:
+        y = acc[j]
+        acc[j] = None
+        if y:
+            out.append((j, y))
+    return tuple(out)
+
+
+def _add_rows(p: tuple, q: tuple) -> tuple:
+    """The canonical row p + q of two canonical rows."""
+    if not q:
+        return p
+    if not p:
+        return q
+    acc = dict(p)
+    for j, x in q:
+        y = acc.get(j)
+        if y is None:
+            acc[j] = x
+        else:
+            y += x
+            if y:
+                acc[j] = y
+            else:
+                del acc[j]
+    # the columns are distinct, so the sort never compares two entries
+    return tuple(sorted(acc.items()))
+
+
 def _matrix(rows: int, cols: int, entries) -> Matrix:
-    """A Matrix over entries that are already Fractions, without coercing
-    them; the methods above build every result through it."""
+    """A Matrix over dense row-major entries that are already Fractions,
+    without coercing them; its nonzero view is derived on first use."""
     m = object.__new__(Matrix)
     m.rows = rows
     m.cols = cols
-    m.entries = tuple(entries)
+    m._entries = tuple(entries)
     m._nonzero_rows = None
+    return m
+
+
+def _sparse(rows: int, cols: int, nonzero_rows: tuple) -> Matrix:
+    """A Matrix given in its canonical form: per row, a tuple of nonzero
+    (column, entry) pairs, Fraction entries, strictly increasing columns.
+    The builders of this package write their results through it."""
+    m = object.__new__(Matrix)
+    m.rows = rows
+    m.cols = cols
+    m._entries = None
+    m._nonzero_rows = nonzero_rows
     return m
 
 

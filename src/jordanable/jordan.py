@@ -18,10 +18,9 @@ from typing import Optional, Sequence
 from .errors import VerificationFailed, ZeroMultiplicityFunction, verify
 from .field import (
     _ONE,
-    _ZERO,
     Matrix,
     Polynomial,
-    _matrix,
+    _sparse,
     coordinates,
     invert,
     poly_divmod,
@@ -120,15 +119,15 @@ class JordanForm:
 def canonical_form(a: MultiplicityFunction, conv: Convention = EPS1) -> JordanForm:
     """J(aleph): the direct sum of all blocks in canonical order.
 
-    J is written cell by cell, each block J(p, n) from its factor's x_p,
-    found once per factor: x_p at chain position (m, m) and the identity
-    at (m, m + 1), as in jordan_block.
+    J is written row by row from its nonzeros, each block J(p, n) from
+    its factor's x_p, found once per factor: x_p at chain position (m, m)
+    and the identity at (m, m + 1), as in jordan_block.
     """
     if a.is_zero:
         raise ZeroMultiplicityFunction("canonical form of the zero function")
     blocks = tuple(block_layout(a))
     dim = a.dim
-    cells = [_ZERO] * (dim * dim)
+    rows: list = [()] * dim
     # a layout lists the blocks of one factor together
     for p, group in groupby(blocks, key=lambda b: b.p):
         d = p.degree
@@ -137,18 +136,17 @@ def canonical_form(a: MultiplicityFunction, conv: Convention = EPS1) -> JordanFo
             for m in range(b.n):
                 row0 = b.offset + m * d
                 for k, pairs in enumerate(xp):
-                    at = (row0 + k) * dim + row0
-                    for c, x in pairs:
-                        cells[at + c] = x
+                    row = [(row0 + c, x) for c, x in pairs]
                     if m + 1 < b.n:
-                        cells[at + d + k] = _ONE
+                        row.append((row0 + d + k, _ONE))
+                    rows[row0 + k] = tuple(row)
     index = tuple(
         BlockIndex(b.p, b.n, b.alpha, m, k)
         for b in blocks
         for m in range(1, b.n + 1)
         for k in range(b.p.degree)
     )
-    return JordanForm(_matrix(dim, dim, cells), a, conv, blocks, index)
+    return JordanForm(_sparse(dim, dim, tuple(rows)), a, conv, blocks, index)
 
 
 # factor p -> (p(t), kernel bases of p(t)^k for k = 0..e+1), where p^e

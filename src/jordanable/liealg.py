@@ -21,6 +21,7 @@ from .field import (
     Matrix,
     _frac,
     _matrix,
+    _sparse,
     coordinates,
     format_terms,
     matrix_rank,
@@ -314,11 +315,17 @@ def _blocks(l: AlmostAbelianAlgebra, m: Matrix) -> tuple:
     if (m.rows, m.cols) != (size, size):
         raise ValueError(f"expected a {size}x{size} coordinate matrix")
     n = size - 1
-    e = m.entries
-    b = _matrix(1, n, e[1:size])
-    c = _matrix(n, 1, e[size::size])
-    delta = _matrix(n, n, [x for i in range(1, size) for x in m.row(i)[1:]])
-    return e[0], b, c, delta
+    heads, tails = [], []
+    for row in m.nonzero_rows:
+        # column 0 of a row goes to a or c, the others to b or Delta
+        if row and row[0][0] == 0:
+            heads.append(row[0][1])
+            row = row[1:]
+        else:
+            heads.append(_ZERO)
+        tails.append(tuple([(j - 1, x) for j, x in row]))
+    c = _sparse(n, 1, tuple([((0, x),) if x else () for x in heads[1:]]))
+    return heads[0], _sparse(1, n, (tails[0],)), c, _sparse(n, n, tuple(tails[1:]))
 
 
 def _wedge_free(b: Matrix, m: Matrix) -> bool:
@@ -327,10 +334,11 @@ def _wedge_free(b: Matrix, m: Matrix) -> bool:
     For b = 0 it holds trivially; otherwise, with b_p the first nonzero
     entry of b, it is the one identity (M e_p) b = b_p M.
     """
-    p = next((k for k, x in enumerate(b.entries) if x), None)
-    if p is None:
+    row = b.nonzero_rows[0]
+    if not row:
         return True
-    return Matrix(m.rows, 1, m.column(p)) * b == m.scale(b.entries[p])
+    p, bp = row[0]
+    return _matrix(m.rows, 1, m.column(p)) * b == m.scale(bp)
 
 
 def is_derivation(l: AlmostAbelianAlgebra, d: Matrix) -> bool:

@@ -13,7 +13,7 @@ from typing import Iterable, Optional
 
 from .errors import ZeroMultiplicityFunction
 from .field import _frac
-from .spectrum import IrreduciblePoly, star_irreducible, x_irreducible
+from .spectrum import IrreduciblePoly, star_irreducible, star_poly, x_irreducible
 
 
 class MultiplicityFunction:
@@ -173,13 +173,25 @@ def _candidate_dilations(
     return sorted(cands)
 
 
+def _keys(a: MultiplicityFunction, lam=1) -> frozenset:
+    """The (coefficients, certification, n, mult) entries of lam*a: equal
+    sets are equal functions, compared without building the dilated
+    IrreduciblePoly keys or MultiplicityFunction."""
+    return frozenset(
+        (p.poly.coeffs if lam == 1 else star_poly(lam, p.poly).coeffs,
+         p.certification, n, m)
+        for (p, n), m in a.items()
+    )
+
+
 def dilation_symmetries(a: MultiplicityFunction) -> DilationGroup:
     """All scalars lam with lam*a = a."""
     if a.is_zero:
         raise ZeroMultiplicityFunction("dilation symmetries of the zero function")
     if a.supported_on_x:
         return DilationGroup(all_scalars=True)
-    found = [lam for lam in _candidate_dilations(a, a) if star_aleph(lam, a) == a]
+    keys = _keys(a)
+    found = [lam for lam in _candidate_dilations(a, a) if _keys(a, lam) == keys]
     if Fraction(1) not in found:
         found.append(Fraction(1))
     return DilationGroup(all_scalars=False, elements=tuple(sorted(found)))
@@ -194,7 +206,8 @@ def projectively_equal(
     if a1.supported_on_x or a2.supported_on_x:
         return Fraction(1) if a1 == a2 else None
     # prefer the smallest-magnitude positive witness for determinism
+    keys = _keys(a2)
     for lam in sorted(_candidate_dilations(a1, a2), key=lambda x: (abs(x), x < 0)):
-        if star_aleph(lam, a1) == a2:
+        if _keys(a1, lam) == keys:
             return lam
     return None

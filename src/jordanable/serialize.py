@@ -75,7 +75,15 @@ def vector_from_json(data) -> tuple:
 
 
 def matrix_to_json(m: Matrix) -> list:
-    return [vector_to_json(row) for row in m.to_rows()]
+    """The rows of m, each written from its nonzero entries: a zero is
+    the literal 0, with no Fraction read."""
+    out = []
+    for pairs in m.nonzero_rows:
+        row = [0] * m.cols
+        for j, x in pairs:
+            row[j] = frac_to_json(x)
+        out.append(row)
+    return out
 
 
 def matrix_from_json(data) -> Matrix:

@@ -244,12 +244,14 @@ def ext_basis_matrices(
     matching the rotation-scaling coordinates.
     """
     xp = companion(p, conv) if root is None else root
-    d = p.degree
-    if conv.epsilon == 0 and d == 2:
+    one = Matrix.identity(xp.rows)
+    if conv.epsilon == 0 and p.degree == 2:
         a, b = rotation_parameters(p.poly)
-        one = Matrix.identity(xp.rows)
         return [one, (xp - one.scale(a)).scale(1 / b)]
-    return [xp**k for k in range(d)]
+    powers = [one]
+    for _ in range(1, p.degree):
+        powers.append(powers[-1] * xp)
+    return powers
 
 
 def star_poly(lam, p: Polynomial) -> Polynomial:

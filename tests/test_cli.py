@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -70,6 +71,21 @@ LIE_GOLDEN = {
     )
     for verb in LIE_VERBS
 }
+# `lie der`, `lie casimir` and `solve zjt` (per epsilon) on two larger
+# algebras: long X chains beside W (dim 30), and rotation chains, real
+# blocks with -1 partners, an X chain and W (dim 29); their stdout runs to
+# 27-304 kB, so golden_lie_digest.json pins its length and sha256 digest,
+# keyed "<verb>:<algebra>/eps<epsilon>"
+DIGEST_ALGEBRAS = {
+    "x-chains-30": [entry([0, 1], 10), entry([0, 1], 6), entry([0, 1], 4, 2),
+                    entry([0, 1], 2), entry([0, 1], 1, 3)],
+    "mixed-29": [entry([2, 2, 1], 3), entry([2, -2, 1], 2), entry([1, 0, 1], 2),
+                 entry([-1, 1], 3), entry([1, 1], 2, 2), entry([-2, 1], 2),
+                 entry([0, 1], 3), entry([0, 1], 1, 2)],
+}
+DIGEST_GOLDEN = json.loads(
+    (Path(__file__).parent / "golden_lie_digest.json").read_text(encoding="utf-8")
+)
 # `lie centre`, `lie lcs --k 1..3`, `lie nilpotent` and `lie decompose`
 # over DER_ALGEBRAS and algebras with a Heisenberg or Abelian core, long
 # X chains and dilated pairs; the pinned answers are golden_lie_centre.json,
@@ -288,6 +304,17 @@ class TestLieVerbs:
         want = LIE_GOLDEN[verb][case]
         assert code == want["exit"]
         assert out == json.dumps(want["stdout"], separators=(",", ":"))
+
+    @pytest.mark.parametrize("case", sorted(DIGEST_GOLDEN))
+    def test_digest_golden(self, tmp_path, capsys, case):
+        verb, rest = case.split(":")
+        name, eps = rest.split("/eps")
+        a = write(tmp_path, "a.json", DIGEST_ALGEBRAS[name])
+        code = main([*LIE_VERBS[verb], "--aleph", a, "--epsilon", eps])
+        out = capsys.readouterr().out.encode()
+        want = DIGEST_GOLDEN[case]
+        assert code == want["exit"]
+        assert (len(out), hashlib.sha256(out).hexdigest()) == (want["bytes"], want["sha256"])
 
     @pytest.mark.parametrize("case", sorted(CENTRE_GOLDEN))
     def test_centre_golden(self, tmp_path, capsys, case):

@@ -346,16 +346,21 @@ class TestMatrixAgainstReference:
         r, k, c = (data.draw(st.integers(0, 5)) for _ in range(3))
         a, b = data.draw(sparse_rows(r, k)), data.draw(sparse_rows(k, c))
         ma, mb = as_matrix(a, k), as_matrix(b, c)
-        fresh_a, fresh_b = as_matrix(a, k), as_matrix(b, c)  # views never read
-        # the view is each row's nonzero (column, entry) pairs, kept once read
+        # built from dense data, so each keeps its dense tuple and has no
+        # view until one is read
+        fresh_a, fresh_b = as_matrix(a, k), as_matrix(b, c)
+        # the view is each row's nonzero (column, entry) pairs, derived from
+        # the dense tuple on first read and kept
         assert ma.nonzero_rows == tuple(
             tuple((j, Fraction(x)) for j, x in enumerate(row) if x) for row in a
         )
         assert ma.nonzero_rows is ma.nonzero_rows
         mb.nonzero_rows
+        # a matrix with a view and one without compare and hash alike
         assert ma == fresh_a and fresh_a == ma and hash(ma) == hash(fresh_a)
         assert mb == fresh_b and hash(mb) == hash(fresh_b)
-        # products, kron, apply and embed of operands whose view is computed
+        # products, kron, apply and embed of operands whose view is read;
+        # a product is built in the canonical form, its entries derived
         product = ma * mb
         assert exact(product, ref_mul(a, b, k, c))
         product.nonzero_rows
@@ -376,6 +381,80 @@ class TestMatrixAgainstReference:
         for n in range(4):
             assert exact(Matrix.identity(n), [[int(i == j) for j in range(n)] for i in range(n)])
             assert exact(Matrix.zeros(n, 2), [[0, 0]] * n)
+
+
+def canonical(m: Matrix, rows) -> bool:
+    """m is in the canonical form (per row, strictly increasing columns in
+    range and no zero entry), compares equal to and hashes like the
+    dense-built matrix of the reference rows, and derives their entries."""
+    assert len(m.nonzero_rows) == m.rows == len(rows)
+    for pairs in m.nonzero_rows:
+        cols = [j for j, _x in pairs]
+        assert cols == sorted(set(cols)) and all(0 <= j < m.cols for j in cols)
+        assert all(type(x) is Fraction and x != 0 for _j, x in pairs)
+    dense = Matrix(m.rows, m.cols, [x for row in rows for x in row])
+    assert m == dense and dense == m and hash(m) == hash(dense)
+    assert m.entries == Matrix(m.rows, m.cols, dense.entries).entries
+    return exact(m, rows)
+
+
+class TestCanonicalForm:
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_cancellation(self, data):
+        r, k, c = (data.draw(st.integers(0, 5)) for _ in range(3))
+        a, b = data.draw(sparse_rows(r, k)), data.draw(sparse_rows(k, c))
+        ma, mb = as_matrix(a, k), as_matrix(b, c)
+        zero = [[0] * k for _ in range(r)]
+        assert canonical(ma - ma, zero) and canonical(ma + -ma, zero)
+        assert canonical(-ma + ma, zero) and canonical(ma.scale(0), zero)
+        assert canonical(ma * 0, zero) and canonical(ma.scale(1), a)
+        # [A | A] [B; -B] = A B - A B: every cell's products cancel exactly
+        left = as_matrix([row + row for row in a], 2 * k)
+        right = as_matrix(b + [[-x for x in row] for row in b], c)
+        assert canonical(left * right, [[0] * c for _ in range(r)])
+        # a sum whose cells cancel in some places and not in others
+        half = [[x if (i + j) % 2 else 0 for j, x in enumerate(row)] for i, row in enumerate(a)]
+        rest = [[Fraction(x) - y for x, y in zip(ra, rh)] for ra, rh in zip(a, half)]
+        assert canonical(ma - as_matrix(half, k), rest)
+        assert canonical((ma * mb) - (ma * mb), [[0] * c for _ in range(r)])
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_operations(self, data):
+        r, k, c = (data.draw(st.integers(0, 5)) for _ in range(3))
+        a, b = data.draw(sparse_rows(r, k)), data.draw(sparse_rows(k, c))
+        b2 = data.draw(sparse_rows(r, k))
+        ma, mb, mb2 = as_matrix(a, k), as_matrix(b, c), as_matrix(b2, k)
+        pairs = [list(zip(ra, rb)) for ra, rb in zip(a, b2)]
+        assert canonical(ma + mb2, [[Fraction(x) + y for x, y in row] for row in pairs])
+        assert canonical(ma - mb2, [[Fraction(x) - y for x, y in row] for row in pairs])
+        assert canonical(ma * mb, ref_mul(a, b, k, c))
+        assert canonical(ma.transpose(), [[a[i][j] for i in range(r)] for j in range(k)])
+        assert canonical(ma.transpose().transpose(), a)
+        assert canonical(ma.kron(mb), ref_kron(a, b, k, c))
+        # embed into unsorted column coordinates: each row is sorted again
+        row_coords = data.draw(st.permutations(range(r + 1)))[:r]
+        col_coords = data.draw(st.permutations(range(k + 2)))[:k]
+        want = [[0] * (k + 2) for _ in range(r + 1)]
+        for i, gi in enumerate(row_coords):
+            for j, gj in enumerate(col_coords):
+                want[gi][gj] = a[i][j]
+        assert canonical(ma.embed(r + 1, k + 2, row_coords, col_coords), want)
+        assert canonical(Matrix.block_diag([ma, mb]), [
+            *(list(row) + [0] * c for row in a), *([0] * k + list(row) for row in b)])
+        values = data.draw(st.lists(rationals, max_size=5))
+        assert canonical(Matrix.diagonal(values), [
+            [values[i] if i == j else 0 for j in range(len(values))]
+            for i in range(len(values))])
+        assert (ma * mb).is_zero == all(x == 0 for row in ref_mul(a, b, k, c) for x in row)
+        # the dense readers of a matrix built in the canonical form
+        product = ma * mb
+        want = ref_mul(a, b, k, c)
+        assert product.to_rows() == want and product.vec() == tuple(
+            want[i][j] for j in range(c) for i in range(r))
+        assert all(product.row(i) == tuple(want[i]) for i in range(r))
+        assert all(product.column(j) == tuple(row[j] for row in want) for j in range(c))
 
 
 class CountingFraction(Fraction):

@@ -1,5 +1,6 @@
 """Multiplicity functions, dilation pushforward, symmetry groups."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -95,6 +96,59 @@ class TestDilationSymmetries:
     def test_zero_rejected(self):
         with pytest.raises(ZeroMultiplicityFunction):
             dilation_symmetries(MultiplicityFunction(()))
+
+
+# factors that dilations by +-1, +-2, +-1/2 map onto one another
+DILATION_POOL = ["X", "X - 1", "X + 1", "X - 2", "X + 2", "X - 4", "X^2 + 1", "X^2 + 4",
+                 "X^2 + 2*X + 2", "X^2 - 2*X + 2", "X^2 + 4*X + 8", "X^3 - 2", "X^3 + 16"]
+DILATIONS = sorted({Fraction(s * n, d) for s in (1, -1) for n in (1, 2, 4) for d in (1, 2)},
+                   key=lambda x: (abs(x), x < 0))
+
+
+def seeded_dilation_case(seed: int) -> MultiplicityFunction:
+    rng = random.Random(seed)
+    return aleph(*((irr(rng.choice(DILATION_POOL)), rng.randint(1, 2), rng.randint(1, 2))
+                   for _ in range(rng.randint(1, 4))))
+
+
+class TestDilationsAgainstPushforward:
+    """Dil(aleph) and projectively_equal compare dilated coefficient keys;
+    star_aleph, the pushforward itself, is the reference."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_symmetries(self, seed):
+        a = seeded_dilation_case(seed)
+        dil = dilation_symmetries(a)
+        if a.supported_on_x:
+            assert dil.all_scalars
+            return
+        assert all(star_aleph(lam, a) == a for lam in dil.elements)
+        assert {lam for lam in DILATIONS if star_aleph(lam, a) == a} <= set(dil.elements)
+
+    def test_multiplicities_count(self):
+        # -1 swaps the two factors but not their multiplicities
+        a = aleph((irr("X - 1"), 1, 1), (irr("X + 1"), 1, 2), (irr("X^2 + 1"), 1, 1))
+        assert dilation_symmetries(a).elements == (1,)
+        assert projectively_equal(a, star_aleph(-1, a)) == -1
+        assert projectively_equal(a, aleph((irr("X - 1"), 1, 2), (irr("X + 1"), 1, 2),
+                                           (irr("X^2 + 1"), 1, 1))) is None
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_witness_is_the_first_dilation(self, seed):
+        a = seeded_dilation_case(seed)
+        if a.supported_on_x:
+            return
+        for lam in DILATIONS:
+            b = star_aleph(lam, a)
+            # the smallest-magnitude witness, positive first, as the docstring says
+            want = next(mu for mu in DILATIONS if star_aleph(mu, a) == b)
+            assert projectively_equal(a, b) == want
+        c = seeded_dilation_case(seed + 40)
+        w = projectively_equal(a, c)
+        if w is None:
+            assert all(star_aleph(lam, a) != c for lam in DILATIONS)
+        else:
+            assert star_aleph(w, a) == c
 
 
 class TestProjectivelyEqual:
