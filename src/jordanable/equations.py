@@ -4,8 +4,11 @@ The solvers never run a generic linear solve: each basis element is
 written row by row from its nonzeros, from the closed forms of one block
 pair (the V(lam) diagonal, a shifted nilpotent intertwiner, an
 extension-basis matrix and, for Z J + J^T Z = 0, W(aleph) times X), then
-checked once by substitution.  V_n, U_n, P_n, W_p^eps and their direct
-sums stay public as the paper's closed forms.
+checked once by substitution, as X T = lam (T X) or Z J = -(J^T Z) decided
+on nonzero rows (field._products_equal).  Each factor's extension basis,
+lam*p and W_p are read from spectrum._factor_forms, built once per
+(p, convention, lam).  V_n, U_n, P_n, W_p^eps and their direct sums stay
+public as the paper's closed forms.
 """
 
 from __future__ import annotations
@@ -16,16 +19,25 @@ from itertools import groupby
 from typing import Optional, Sequence
 
 from .errors import ZeroMultiplicityFunction, verify
-from .field import _ONE, Matrix, _frac, _row_product, _sparse, span_contains
+from .field import (
+    _ONE,
+    Matrix,
+    _frac,
+    _products_equal,
+    _row_product,
+    _sparse,
+    span_contains,
+)
 from .jordan import Block, JordanForm, _similarity, block_layout, canonical_form
 from .multiplicity import MultiplicityFunction
 from .spectrum import (
     Convention,
     EPS1,
     IrreduciblePoly,
+    _factor_forms,
+    _w_hankel,
     companion,
     ext_basis_matrices,
-    star_irreducible,
 )
 
 
@@ -82,16 +94,9 @@ def w_matrix(p: IrreduciblePoly, conv: Convention = EPS1) -> Matrix:
     and mu_n = -sum_{k<n} a_{d-n+k} mu_k.  For eps=0 the mu_1 entries are
     dropped to match the rotation-scaling companion form.
     """
-    d = p.degree
     if conv.epsilon == 0:
         companion(p, conv)  # raises ConventionError when eps=0 is unavailable
-    mu = [Fraction(1)]
-    for n in range(1, d):
-        mu.append(-sum(p.poly.coeff(d - n + k) * mu[k] for k in range(n)))
-    if d > 1:
-        mu[1] *= conv.epsilon
-    h = [Fraction(0)] * (d - 1) + mu
-    return Matrix(d, d, [h[i + j] for i in range(d) for j in range(d)])
+    return _w_hankel(p, conv)
 
 
 def nilpotent_intertwiners(m: int, n: int) -> SolutionSpace:
@@ -174,14 +179,12 @@ def _lambda_intertwiners(
     groups = [(p, list(group)) for p, group in groupby(blocks, key=lambda b: b.p)]
     out = []
     for p, group in groups:
-        if lam == 1:
-            pi, partners = p, group
-        else:
-            pi = star_irreducible(lam, p)
-            partners = next((g for q, g in groups if q == pi), None)
-            if partners is None:
-                continue
-        ext = [e.nonzero_rows for e in ext_basis_matrices(pi, conv)]
+        forms = _factor_forms(p, conv, lam)
+        pi = forms.p
+        partners = group if lam == 1 else next((g for q, g in groups if q == pi), None)
+        if partners is None:
+            continue
+        ext = forms.ext
         d = pi.degree
         for bi in group:
             diag = _v_diagonal(lam, bi, conv)
@@ -222,7 +225,7 @@ def _w_matrix(blocks: Sequence[Block], conv: Convention, dim: int) -> Matrix:
     rows: list = [()] * dim
     for p, group in groupby(blocks, key=lambda b: b.p):
         d = p.degree
-        wp = w_matrix(p, conv).nonzero_rows
+        wp = _factor_forms(p, conv, 1).w
         for b in group:
             for r in range(b.n):
                 row0, col0 = b.offset + r * d, b.offset + (b.n - 1 - r) * d
@@ -246,11 +249,13 @@ def _checked_intertwiners(
     """The basis of all X with X t = lam t X, for t = S^-1 J S, or for
     t = J itself when S is None: each lambda-intertwiner of J, conjugated
     by S when S is given, checked once in t's coordinates."""
+    tr = t.nonzero_rows
     basis = []
     for x in _lambda_intertwiners(j.blocks, j.convention, lam, j.dim):
         if s is not None:
             x = s_inv * x * s
-        verify(x * t == (t * x).scale(lam), "lambda-commutation check failed",
+        xr = x.nonzero_rows
+        verify(_products_equal(xr, tr, tr, xr, t.cols, lam), "lambda-commutation check failed",
                check="lambda-commutation")
         basis.append(x)
     return tuple(basis)
@@ -325,9 +330,11 @@ def solve_transpose_pair(
     if a.is_zero:
         raise ZeroMultiplicityFunction("transpose pair needs a nonzero function")
     j = canonical_form(a, conv)
-    jt = j.matrix.transpose()
+    jr = j.matrix.nonzero_rows
+    jt = j.matrix.transpose().nonzero_rows
     basis = _transpose_pair_basis(j)
     for z in basis:
-        verify((z * j.matrix + jt * z).is_zero, "transpose-pair check failed",
+        zr = z.nonzero_rows
+        verify(_products_equal(zr, jr, jt, zr, j.dim, -1), "transpose-pair check failed",
                check="transpose-pair")
     return SolutionSpace((j.dim, j.dim), tuple(basis))

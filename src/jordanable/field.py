@@ -13,6 +13,12 @@ costs one multiplication per pair of nonzeros that meet, not n^3, and a
 sum, a comparison or a transpose one step per nonzero, not per cell.
 Matrices read from dense data keep their dense tuple as well, and
 elimination works on dense rows.
+
+The substitution checks of the solvers are identities A B = lam (C D).
+`_products_equal` decides one on the factors' nonzero rows: row i of
+each side is one row product, a row that is zero in both A and C is
+skipped, the first row that differs ends the check, and no product
+matrix is built.
 """
 
 from __future__ import annotations
@@ -498,6 +504,28 @@ def _row_product(row: tuple, rows: tuple, acc: list) -> tuple:
         if y:
             out.append((j, y))
     return tuple(out)
+
+
+def _products_equal(a: tuple, b: tuple, c: tuple, d: Optional[tuple],
+                    cols: int, lam=_ONE) -> bool:
+    """A B == lam (C D), decided row by row on the canonical nonzero rows of
+    the four factors (``Matrix.nonzero_rows``; d None is the identity; a
+    and c have one row count), cols the width of the products.  Row i of
+    each side is one canonical row product, skipped when row i of both A
+    and C is zero, and the first row that differs decides; no Matrix is
+    built."""
+    acc = [None] * cols
+    scaled = lam != 1
+    for ra, rc in zip(a, c):
+        if not ra and not rc:
+            continue
+        left = _row_product(ra, b, acc)
+        right = rc if d is None else _row_product(rc, d, acc)
+        if scaled and right:
+            right = tuple([(j, lam * x) for j, x in right]) if lam else ()
+        if left != right:
+            return False
+    return True
 
 
 def _add_rows(p: tuple, q: tuple) -> tuple:

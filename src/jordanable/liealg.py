@@ -19,8 +19,11 @@ from .errors import (
 from .field import (
     _ZERO,
     Matrix,
+    _add_rows,
     _frac,
     _matrix,
+    _products_equal,
+    _row_product,
     _sparse,
     coordinates,
     format_terms,
@@ -73,6 +76,9 @@ class AlmostAbelianAlgebra:
     def __init__(self, aleph: MultiplicityFunction, conv: Convention = EPS1):
         self.aleph = aleph
         self.form = canonical_form(aleph, conv)
+        # ad_e0 = 0 + J in L's coordinates, as nonzero rows: the structure
+        # checks multiply by it
+        self._ad_e0 = Matrix.block_diag([Matrix.zeros(1, 1), self.form.matrix]).nonzero_rows
 
     @property
     def convention(self) -> Convention:
@@ -207,8 +213,9 @@ def classify_iso(
         return None
     perm = _block_permutation(lam, j1.aleph)
     m = s2_inv * perm * v_aleph(1 / lam, j1.aleph, conv) * s1
-    verify((m * t1).scale(lam) == t2 * m, "classification witness check failed",
-           check="classify-witness")
+    verify(_products_equal(t2.nonzero_rows, m.nonzero_rows, m.nonzero_rows,
+                           t1.nonzero_rows, m.cols, lam),
+           "classification witness check failed", check="classify-witness")
     verify(matrix_rank(m) == m.rows, "classification witness is singular",
            check="classify-witness")
     return lam, m
@@ -279,7 +286,9 @@ class AutomorphismSpace:
         if not self.is_invertible(delta):
             raise ValueError("Delta must be invertible")
         j = self.algebra.form.matrix
-        if delta.rows != j.rows or delta * j != (j * delta).scale(nu):
+        if delta.rows != j.rows or not _products_equal(
+                delta.nonzero_rows, j.nonzero_rows, j.nonzero_rows, delta.nonzero_rows,
+                j.cols, nu):
             raise ValueError("Delta is not a nu-intertwiner")
         if len(gamma) != self.gamma_dim:
             raise ValueError(f"gamma must have {self.gamma_dim} entries")
@@ -305,74 +314,78 @@ def _unit_matrix(n: int, i: int, j: int) -> Matrix:
     return Matrix.identity(1).embed(n, n, [i], [j])
 
 
-def _blocks(l: AlmostAbelianAlgebra, m: Matrix) -> tuple:
-    """Split a full coordinate matrix into (a, b, c, Delta) = (a b; c Delta).
-
-    a is the e0 -> e0 scalar, b the 1 x n row V -> e0, c the n x 1
-    column e0 -> V and Delta the n x n block V -> V.
-    """
+def _column_split(l: AlmostAbelianAlgebra, m: Matrix) -> tuple[list, tuple]:
+    """(heads, tails) of a full coordinate matrix (a b; c Delta) of L, read
+    from its nonzero rows: column 0, so heads[0] = a and heads[1:] = c,
+    and the rows with column 0 cleared, so tails[0] = b."""
     size = l.dimension
     if (m.rows, m.cols) != (size, size):
         raise ValueError(f"expected a {size}x{size} coordinate matrix")
-    n = size - 1
     heads, tails = [], []
     for row in m.nonzero_rows:
-        # column 0 of a row goes to a or c, the others to b or Delta
         if row and row[0][0] == 0:
             heads.append(row[0][1])
-            row = row[1:]
+            tails.append(row[1:])
         else:
             heads.append(_ZERO)
-        tails.append(tuple([(j - 1, x) for j, x in row]))
-    c = _sparse(n, 1, tuple([((0, x),) if x else () for x in heads[1:]]))
-    return heads[0], _sparse(1, n, (tails[0],)), c, _sparse(n, n, tuple(tails[1:]))
+            tails.append(row)
+    return heads, tuple(tails)
 
 
-def _wedge_free(b: Matrix, m: Matrix) -> bool:
-    """b_l M e_k == b_k M e_l for all k, l.
+def _scaled(row: tuple, s) -> tuple:
+    return tuple([(j, s * x) for j, x in row]) if s else ()
+
+
+def _wedge_free(b: tuple, jh: tuple, d: Optional[tuple], n: int) -> bool:
+    """b_l M e_k == b_k M e_l for all k, l, for M = ad_e0 D (D None: the
+    identity) and b a row with no e0 entry.
 
     For b = 0 it holds trivially; otherwise, with b_p the first nonzero
-    entry of b, it is the one identity (M e_p) b = b_p M.
+    entry of b, it is the one identity (M e_p) b = b_p M, that is
+    ad_e0 ((D e_p) b) = b_p ad_e0 D.
     """
-    row = b.nonzero_rows[0]
-    if not row:
+    if not b:
         return True
-    p, bp = row[0]
-    return _matrix(m.rows, 1, m.column(p)) * b == m.scale(bp)
+    p, bp = b[0]
+    if d is None:
+        rank_one = tuple([b if i == p else () for i in range(n)])
+    else:
+        rank_one = tuple([_scaled(b, dict(row).get(p)) for row in d])
+    return _products_equal(jh, rank_one, jh, d, n, bp)
 
 
 def is_derivation(l: AlmostAbelianAlgebra, d: Matrix) -> bool:
-    """D = (a b; c Delta) is a derivation iff b J = 0, Delta J - J Delta = a J
-    and b_l J e_k = b_k J e_l for all k, l.
+    """D = (a b; c Delta) is a derivation iff D ad_e0 = ad_e0 (D0 + a I),
+    D0 being D with column 0 cleared, and b_l J e_k = b_k J e_l for all
+    k, l.
 
-    The first two are D[e0, v] = [D e0, v] + [e0, D v], split into its e0
-    and V parts; the last is D[u, w] = 0 = [Du, w] + [u, Dw] on V.
+    The first is D[e0, y] = [D e0, y] + [e0, D y] for every y (its e0 row
+    reads b J = 0, its V block Delta J - J Delta = a J); the last is
+    D[u, w] = 0 = [Du, w] + [u, Dw] on V.
     """
-    a, b, _c, delta = _blocks(l, d)
-    j = l.form.matrix
-    return (
-        (b * j).is_zero
-        and delta * j - j * delta == j.scale(a)
-        and _wedge_free(b, j)
-    )
+    heads, tails = _column_split(l, d)
+    a, b, jh, n = heads[0], tails[0], l._ad_e0, l.dimension
+    if a:
+        tails = tuple([_add_rows(row, ((i, a),)) for i, row in enumerate(tails)])
+    return _products_equal(d.nonzero_rows, jh, jh, tails, n) and _wedge_free(b, jh, None, n)
 
 
 def is_automorphism(l: AlmostAbelianAlgebra, phi: Matrix) -> bool:
     """phi = (nu b; c Delta) is an automorphism iff it is invertible,
-    b J = 0, Delta J = nu J Delta - (J c) b and b_l J Delta e_k =
-    b_k J Delta e_l for all k, l.
+    phi ad_e0 = ad_e0 (nu phi0 - c b), phi0 being phi with column 0
+    cleared, and b_l J Delta e_k = b_k J Delta e_l for all k, l.
 
-    The identities are phi[e0, v] = [phi e0, phi v], split into its e0
-    and V parts, and phi[u, w] = 0 = [phi u, phi w] on V.
+    The identities are phi[e0, y] = [phi e0, phi y] for every y (its e0
+    row reads b J = 0, its V block Delta J = nu J Delta - (J c) b), and
+    phi[u, w] = 0 = [phi u, phi w] on V.
     """
-    nu, b, c, delta = _blocks(l, phi)
-    j = l.form.matrix
-    jd = j * delta
+    heads, tails = _column_split(l, phi)
+    nu, b, jh, n = heads[0], tails[0], l._ad_e0, l.dimension
+    rhs = tuple([_add_rows(_scaled(row, nu), _scaled(b, -c)) for c, row in zip(heads, tails)])
     return (
-        (b * j).is_zero
-        and delta * j == jd.scale(nu) - (j * c) * b
-        and _wedge_free(b, jd)
-        and matrix_rank(phi) == l.dimension
+        _products_equal(phi.nonzero_rows, jh, jh, rhs, n)
+        and _wedge_free(b, jh, tails, n)
+        and matrix_rank(phi) == n
     )
 
 
@@ -384,7 +397,7 @@ def derivation_space(l: AlmostAbelianAlgebra) -> SolutionSpace:
     Delta a J-intertwiner between two blocks of L0; (alpha 0; 0 alpha U)
     with U = U(aleph) when L is nilpotent; and the corner unit maps
     W -> Z(L0), L0/(L0)_(1) -> W and W -> W.  Each element is checked
-    once as a derivation of L.  L is split once; _split rejects a
+    once, by is_derivation.  L is split once; _split rejects a
     Heisenberg or Abelian core L0.  The Delta elements are written in L's
     coordinates directly, from L0's blocks shifted past e0.
     """
@@ -445,30 +458,46 @@ class CasimirElement:
         return f"Q = {self.display}"
 
 
+def _skew_part(z: Matrix) -> dict:
+    """The nonzero entries (k, l), k < l, of Z - Z^T, read from Z's nonzeros."""
+    out: dict = {}
+    for k, row in enumerate(z.nonzero_rows):
+        for l, x in row:
+            if k < l:
+                out[k, l] = out.get((k, l), _ZERO) + x
+            elif l < k:
+                out[l, k] = out.get((l, k), _ZERO) - x
+    return {kl: x for kl, x in out.items() if x}
+
+
 def casimir_basis(l: AlmostAbelianAlgebra) -> list[CasimirElement]:
     """Basis of the quadratic Casimirs: symmetric A with A J + J^T A = 0.
 
     In L's own form, A = sum c_i Z_i over the Z J + J^T Z = 0 basis Z_i,
-    with c in the one kernel of c -> sum c_i (Z_i - Z_i^T); each A is
-    checked once.  The system keeps only the rows (k, l), k < l, of the
+    with c in the one kernel of c -> sum c_i (Z_i - Z_i^T); A is summed
+    row by row, and each A is checked once, A J = -(J^T A) decided on
+    nonzero rows.  The system keeps only the rows (k, l), k < l, of the
     skew parts Z_i - Z_i^T that are nonzero for some i: the diagonal rows
     are zero and row (l, k) is minus row (k, l), so the row space, and
     with it the kernel, is that of all n^2 rows.
     """
     zs = _transpose_pair_basis(l.form)
-    skews = [{(k, l): x for k, row in enumerate((z - z.transpose()).nonzero_rows)
-              for l, x in row if k < l} for z in zs]
+    skews = [_skew_part(z) for z in zs]
     live = sorted({kl for skew in skews for kl in skew})
     kernel = row_reduce(_matrix(len(live), len(zs), [
         skew.get(kl, _ZERO) for kl in live for skew in skews
     ])).kernel
-    j = l.form.matrix
-    jt = j.transpose()
+    n = l.form.dim
+    j = l.form.matrix.nonzero_rows
+    jt = l.form.matrix.transpose().nonzero_rows
+    by_row = list(zip(*(z.nonzero_rows for z in zs)))  # row r of every Z_i
+    acc = [None] * n
     out = []
     for coeffs in kernel:
-        a = sum((z.scale(c) for c, z in zip(coeffs, zs) if c),
-                Matrix.zeros(j.rows, j.cols))
-        verify(a == a.transpose() and (a * j + jt * a).is_zero,
+        terms = tuple([(i, c) for i, c in enumerate(coeffs) if c])
+        a = _sparse(n, n, tuple([_row_product(terms, zr, acc) for zr in by_row]))
+        verify(a == a.transpose() and _products_equal(a.nonzero_rows, j, jt, a.nonzero_rows,
+                                                      n, -1),
                "Casimir identity A = A^T, A J + J^T A = 0 failed", check="casimir")
         out.append(CasimirElement(a))
     return out

@@ -11,16 +11,21 @@ a residual of degree >= 4 (`_find_small_factor`) still enumerates
 divisors, of its values at deg points.  Two companion conventions are
 supported: the general form (epsilon=1) and the rotation-scaling 2x2
 form (epsilon=0) for quadratics that split as (X-a)^2 + b^2 with
-rational a, b.
+rational a, b.  The structure queries read each factor's x_p, extension
+basis, W_p and dilate lam*p from `_factor_forms`, one bounded cache keyed
+by (p, convention, lam); the public `companion`, `ext_basis_matrices`,
+`star_irreducible` and `equations.w_matrix` build them afresh.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import ConventionError, UnfactoredRemainder, VerificationFailed, verify
 from .field import Matrix, Polynomial, poly_divmod, poly_gcd, solve_linear, _frac
@@ -254,6 +259,19 @@ def ext_basis_matrices(
     return powers
 
 
+def _w_hankel(p: IrreduciblePoly, conv: Convention) -> Matrix:
+    """The Hankel matrix of `equations.w_matrix`, for a convention that is
+    available for p; here so that the factor forms below can hold it."""
+    d = p.degree
+    mu = [Fraction(1)]
+    for n in range(1, d):
+        mu.append(-sum(p.poly.coeff(d - n + k) * mu[k] for k in range(n)))
+    if d > 1:
+        mu[1] *= conv.epsilon
+    h = [Fraction(0)] * (d - 1) + mu
+    return Matrix(d, d, [h[i + j] for i in range(d) for j in range(d)])
+
+
 def star_poly(lam, p: Polynomial) -> Polynomial:
     """Dilation action: coefficient k is scaled by lam**(deg p - k)."""
     lam = _frac(lam)
@@ -265,6 +283,37 @@ def star_poly(lam, p: Polynomial) -> Polynomial:
 
 def star_irreducible(lam, p: IrreduciblePoly) -> IrreduciblePoly:
     return IrreduciblePoly(star_poly(lam, p.poly), p.certification)
+
+
+class _FactorForms(NamedTuple):
+    """The closed forms of one factor p in one convention, as nonzero rows."""
+
+    p: IrreduciblePoly
+    root: tuple  # x_p
+    ext: tuple  # the extension basis, one matrix each
+    w: tuple  # W_p
+
+
+# the structure queries of one algebra meet a handful of factors and
+# dilations, so a fixed few hundred entries keep every pool in reach
+_FORMS_CACHE_SIZE = 256
+
+
+@functools.lru_cache(maxsize=_FORMS_CACHE_SIZE)
+def _factor_forms(p: IrreduciblePoly, conv: Convention, lam) -> _FactorForms:
+    """x_p, the extension basis and W_p of the factor lam*p in convention
+    conv, built once per (p, conv, lam) from the public closed forms
+    (with them, at eps = 0, the rotation parameters).  A form that is
+    unavailable raises on every call, as nothing is cached for it."""
+    if lam != 1:
+        return _factor_forms(star_irreducible(lam, p), conv, 1)
+    x = companion(p, conv)
+    return _FactorForms(
+        p,
+        x.nonzero_rows,
+        tuple(e.nonzero_rows for e in ext_basis_matrices(p, conv, x)),
+        _w_hankel(p, conv).nonzero_rows,
+    )
 
 
 def minimal_polynomial(t: Matrix) -> Polynomial:

@@ -749,6 +749,38 @@ class TestErrorPaths:
         assert data["code"] == "verification-failed"
         assert data["context"] == {"check": "derivation", "index": 0}
 
+    @pytest.mark.parametrize("argv, module, builder, check, message", [
+        (["lie", "casimir"], "liealg", "_transpose_pair_basis", "casimir",
+         "Casimir identity A = A^T, A J + J^T A = 0 failed"),
+        (["solve", "zjt"], "equations", "_transpose_pair_basis", "transpose-pair",
+         "transpose-pair check failed"),
+        (["lie", "aut"], "equations", "_lambda_intertwiners", "lambda-commutation",
+         "lambda-commutation check failed"),
+    ], ids=["casimir", "zjt", "aut"])
+    def test_perturbed_element_exit_3(self, tmp_path, capsys, monkeypatch,
+                                      argv, module, builder, check, message):
+        """One entry of the first element each builder returns is moved on
+        the diagonal of J = diag(1, -1): every structure check but the
+        commutant's catches it, and the answer is the exit-3 object."""
+        import importlib
+
+        mod = importlib.import_module(f"jordanable.{module}")
+        build = getattr(mod, builder)
+
+        def perturbed(*args):
+            out = list(build(*args))
+            if out:
+                m = out[0]
+                out[0] = m + jordanable.Matrix.diagonal([1] + [0] * (m.rows - 1))
+            return out
+
+        monkeypatch.setattr(mod, builder, perturbed)
+        a = write(tmp_path, "a.json", BIANCHI)
+        code, out = run(capsys, [*argv, "--aleph", a])
+        assert code == 3
+        assert json.loads(out) == {"code": "verification-failed", "message": message,
+                                   "context": {"check": check}}
+
 
 # Malformed but parseable CLI input: mostly well-formed values, some
 # with one bad part.  Every integer that becomes a size (n, mult, k,

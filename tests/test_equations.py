@@ -228,11 +228,8 @@ class TestLambdaIntertwinersInPlace:
         import jordanable.equations as equations_mod
 
         blocks, conv, lam, dim = seeded_builder_case(1)
-        ext = {}
-        for b in blocks:  # the extension bases, built before counting
-            q = star_irreducible(lam, b.p)
-            ext[q] = equations_mod.ext_basis_matrices(q, conv)
-        monkeypatch.setattr(equations_mod, "ext_basis_matrices", lambda q, c: ext[q])
+        for b in blocks:  # the factor forms, built before counting
+            equations_mod._factor_forms(b.p, conv, lam)
         calls = []
         for name in ("__mul__", "kron"):
             original = getattr(Matrix, name)
@@ -262,15 +259,13 @@ def seeded_layout_case(seed):
 
 
 def counting_products(monkeypatch, equations_mod, forms):
-    """Count Matrix products, kron and block_diag calls; the extension
-    bases of the forms' factors and their -1 partners (powers of x_p,
-    so products) are built before counting."""
-    ext = {}
+    """Count Matrix products, kron and block_diag calls; the factor forms
+    of the forms' factors and their -1 partners (whose extension bases
+    are powers of x_p, so products) are built before counting."""
     for j in forms:
         for b in j.blocks:
-            for q in (b.p, star_irreducible(-1, b.p)):
-                ext[q] = equations_mod.ext_basis_matrices(q, j.convention)
-    monkeypatch.setattr(equations_mod, "ext_basis_matrices", lambda q, c: ext[q])
+            for lam in (1, -1):
+                equations_mod._factor_forms(b.p, j.convention, lam)
     calls = []
     for name in ("__mul__", "kron"):
         original = getattr(Matrix, name)

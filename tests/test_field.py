@@ -1,5 +1,6 @@
 """Exact-arithmetic core: polynomials and matrices."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -16,7 +17,7 @@ from jordanable import (
     row_reduce,
     solve_linear,
 )
-from jordanable.field import coordinates, span_contains
+from jordanable.field import _products_equal, coordinates, span_contains
 from .conftest import mat
 
 rationals = st.fractions(
@@ -483,3 +484,102 @@ def test_product_with_jordan_matrix_skips_its_zeros():
         product = left * right
         assert CountingFraction.products <= 2 * n * n
         assert product == Matrix.from_rows(ref_mul(left.to_rows(), right.to_rows(), n, n))
+
+
+# -- A B == lam (C D) on nonzero rows, against the Matrix expression --------
+
+PRODUCT_LAMBDAS = (Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2))
+
+
+def products_equal_reference(a, b, c, d, lam):
+    """The Matrix expression that _products_equal decides without a Matrix."""
+    return a * b == (c * d).scale(lam)
+
+
+def random_rows(rng, rows, cols, density):
+    return [[Fraction(rng.randint(-3, 3), rng.choice((1, 1, 2)))
+             if rng.random() < density else 0 for _ in range(cols)] for _ in range(rows)]
+
+
+def seeded_true_products(seed):
+    """(A, B, C, D, lam) with A B == lam (C D): C = A T and D = T^-1 B / lam
+    for a unit triangular T, so C D reaches A B only through cancelling
+    sums.  A and B are sparse or dense; half the cases also make a row of
+    A B cancel to zero (two equal rows of B weighted x and -x), and B is
+    never zero."""
+    rng = random.Random(f"products-{seed}")
+    r, k, m = rng.randint(1, 6), rng.randint(1, 6), rng.randint(1, 6)
+    density = rng.choice((0.2, 0.5, 1.0))
+    lam = rng.choice(PRODUCT_LAMBDAS)
+    a, b = random_rows(rng, r, k, density), random_rows(rng, k, m, density)
+    twins = rng.sample(range(k), 2) if k >= 2 and rng.random() < 0.5 else []
+    if twins:
+        i, j = twins
+        b[j] = b[i]  # one list: the twin rows stay equal below
+        x = Fraction(rng.choice((-2, -1, 1, 2)))
+        row = rng.randrange(r)
+        a[row] = [0] * k
+        a[row][i], a[row][j] = x, -x
+    b[rng.randrange(k)][rng.randrange(m)] = Fraction(rng.choice((-2, -1, 1, 3)))
+    t = mat([[1 if i == j else rng.randint(-2, 2) if j < i else 0 for j in range(k)]
+             for i in range(k)])
+    am, bm = mat(a), mat(b)
+    return am, bm, am * t, (invert(t) * bm).scale(1 / lam), lam
+
+
+def rows_of(*ms):
+    return [m.nonzero_rows for m in ms]
+
+
+class TestProductsEqual:
+    @pytest.mark.parametrize("seed", range(80))
+    def test_true_identities_match_the_reference(self, seed):
+        a, b, c, d, lam = seeded_true_products(seed)
+        assert products_equal_reference(a, b, c, d, lam)
+        assert _products_equal(*rows_of(a, b, c, d), b.cols, lam)
+        # swapping the sides is lam^-1 times the same identity
+        assert _products_equal(*rows_of(c, d, a, b), b.cols, 1 / lam)
+
+    @pytest.mark.parametrize("seed", range(80))
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    def test_one_differing_row_is_found(self, seed, where):
+        """C changed in one row i, by a unit at a column k where D's row is
+        nonzero: C D, and so lam (C D), differs from A B in row i only."""
+        a, b, c, d, lam = seeded_true_products(seed)
+        i = {"first": 0, "middle": c.rows // 2, "last": c.rows - 1}[where]
+        k = next(k for k in range(d.rows) if any(d.row(k)))
+        entries = list(c.entries)
+        entries[i * c.cols + k] += 1
+        c2 = Matrix(c.rows, c.cols, entries)
+        differs = [r for r in range(c.rows) if (a * b).row(r) != (c2 * d).scale(lam).row(r)]
+        assert differs == [i]
+        assert not products_equal_reference(a, b, c2, d, lam)
+        assert not _products_equal(*rows_of(a, b, c2, d), b.cols, lam)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_quadruples_match_the_reference(self, seed):
+        rng = random.Random(f"products-random-{seed}")
+        r, k, m = rng.randint(1, 5), rng.randint(1, 5), rng.randint(1, 5)
+        density = rng.choice((0.2, 0.5, 1.0))
+        a, b, c, d = (mat(random_rows(rng, *shape, density))
+                      for shape in ((r, k), (k, m), (r, k), (k, m)))
+        for lam in PRODUCT_LAMBDAS:
+            assert (_products_equal(*rows_of(a, b, c, d), m, lam)
+                    == products_equal_reference(a, b, c, d, lam))
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_none_is_the_identity(self, seed):
+        a, b, c, d, lam = seeded_true_products(seed)
+        cd = (c * d).scale(lam)
+        assert _products_equal(a.nonzero_rows, b.nonzero_rows, cd.nonzero_rows, None,
+                               b.cols)
+        assert _products_equal(a.nonzero_rows, b.nonzero_rows, cd.nonzero_rows, None,
+                               b.cols, 2) == cd.is_zero
+
+    def test_zero_rows_on_both_sides_are_skipped(self):
+        # rows 1 and 2 of A and C are zero: only row 0 is multiplied
+        a = mat([[1, 2], [0, 0], [0, 0]])
+        b = mat([[1, 0], [0, 1]])
+        c = mat([[2, 4], [0, 0], [0, 0]])
+        assert _products_equal(*rows_of(a, b, c, b), 2, Fraction(1, 2))
+        assert not _products_equal(*rows_of(a, b, c, b), 2, Fraction(1))

@@ -1,8 +1,10 @@
 """Irreducibles, factorization, companions, the dilation action."""
 
+import ast
 import math
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,9 +25,10 @@ from jordanable import (
     parse_poly,
     rational_roots,
     star_poly,
+    w_matrix,
 )
 from jordanable import spectrum
-from jordanable.spectrum import ext_basis_matrices, rotation_parameters
+from jordanable.spectrum import ext_basis_matrices, rotation_parameters, star_irreducible
 from .conftest import irr, mat
 
 nonzero_rationals = st.fractions(max_denominator=4).filter(lambda x: x != 0)
@@ -324,3 +327,56 @@ class TestParsePoly:
         for text in ["X^3 - 2", "X^2 + X + 1", "X - 1"]:
             p = parse_poly(text)
             assert parse_poly(str(p)) == p
+
+
+# -- each factor's closed forms, built once per (p, conv, lam) ---------------
+
+
+def bench_factors() -> list[IrreduciblePoly]:
+    """Every factor of the benchmark's POOL and ROTATION_POOL (bench/gen.py,
+    coefficients from the constant term up), read without importing it."""
+    tree = ast.parse((Path(__file__).parents[1] / "bench" / "gen.py").read_text())
+    pools = {node.targets[0].id: ast.literal_eval(node.value) for node in tree.body
+             if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)
+             and node.targets[0].id in ("POOL", "ROTATION_POOL")}
+    coeffs = [c for pool in pools["POOL"].values() for c in pool] + pools["ROTATION_POOL"]
+    return [IrreduciblePoly.check(Polynomial(c)) for c in dict.fromkeys(coeffs)]
+
+
+class TestFactorForms:
+    @pytest.mark.parametrize("conv", [EPS0, EPS1], ids=["eps0", "eps1"])
+    def test_cached_forms_are_the_fresh_ones(self, conv):
+        factors = bench_factors()
+        assert len(factors) == 22
+        spectrum._factor_forms.cache_clear()
+        available = 0
+        for p in factors:
+            for lam in (1, -1, 2, Fraction(1, 2)):
+                q = star_irreducible(lam, p)
+                try:
+                    fresh = (q, companion(q, conv).nonzero_rows,
+                             tuple(e.nonzero_rows for e in ext_basis_matrices(q, conv)),
+                             w_matrix(q, conv).nonzero_rows)
+                except ConventionError:
+                    with pytest.raises(ConventionError):
+                        spectrum._factor_forms(p, conv, lam)
+                    continue
+                available += 1
+                for _ in range(2):  # built, then read back
+                    assert tuple(spectrum._factor_forms(p, conv, lam)) == fresh
+        # all 22 factors at eps = 1; at eps = 0 the 6 linear and 6 rotation ones
+        assert available == 4 * (22 if conv.epsilon else 12)
+        assert spectrum._factor_forms.cache_info().hits >= available
+
+    def test_unavailable_form_raises_on_every_call(self):
+        p = irr("X^2 - 2")  # no rational rotation-scaling form
+        for lam in (1, 1, -1, -1):
+            with pytest.raises(ConventionError, match="does not split"):
+                spectrum._factor_forms(p, EPS0, lam)
+
+    def test_cache_size_is_a_constant(self):
+        size = spectrum._FORMS_CACHE_SIZE
+        assert isinstance(size, int) and spectrum._factor_forms.cache_info().maxsize == size
+        for c in range(size + 10):
+            spectrum._factor_forms(IrreduciblePoly.check(Polynomial((c, 1))), EPS1, 1)
+        assert spectrum._factor_forms.cache_info().currsize == size
