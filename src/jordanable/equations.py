@@ -14,14 +14,13 @@ public as the paper's closed forms.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import groupby
 from typing import Optional, Sequence
 
 from .errors import ZeroMultiplicityFunction, verify
 from .field import (
-    _ONE,
     Matrix,
+    _div,
     _frac,
     _products_equal,
     _row_product,
@@ -77,7 +76,7 @@ def v_matrix(n: int, lam) -> Matrix:
 
 def u_matrix(n: int) -> Matrix:
     """U_n = diag(n-1, n-2, ..., 0); satisfies U_n N_n - N_n U_n = N_n."""
-    return Matrix.diagonal([Fraction(n - 1 - k) for k in range(n)])
+    return Matrix.diagonal([n - 1 - k for k in range(n)])
 
 
 def p_matrix(n: int) -> Matrix:
@@ -110,7 +109,7 @@ def nilpotent_intertwiners(m: int, n: int) -> SolutionSpace:
     if m < 1 or n < 1:
         raise ValueError("block sizes must be >= 1")
     basis = [
-        _sparse(n, m, tuple([((i + d, _ONE),) if i + d < m else () for i in range(n)]))
+        _sparse(n, m, tuple([((i + d, 1),) if i + d < m else () for i in range(n)]))
         for d in range(max(0, m - n), m)
     ]
     return SolutionSpace((n, m), tuple(basis))
@@ -143,15 +142,29 @@ def jordan_intertwiners(
     return SolutionSpace(shape, tuple(basis))
 
 
-def _v_diagonal(lam: Fraction, b: Block, conv: Convention) -> list[Fraction]:
-    """The diagonal of V(lam; aleph) on one copy of J(p, n), for lam != 0:
-    (1/lam)^(r+1) s^(a+1) at chain row r and extension coordinate a, with
-    s = lam for eps = 1 and s = lam/|lam| for eps = 0."""
+def _v_diagonal(lam, b: Block, conv: Convention) -> list:
+    """The diagonal of V(lam; aleph) on one copy of J(p, n), for a canonical
+    lam != 0: (1/lam)^(r+1) s^(a+1) at chain row r and extension coordinate
+    a, with s = lam for eps = 1 and s = lam/|lam| for eps = 0.  Each power
+    is one multiplication from the one before it."""
+    d = b.p.degree
     if lam == 1:
-        return [_ONE] * b.size
-    inv = 1 / lam
-    s = lam if conv.epsilon == 1 else lam / abs(lam)
-    return [inv ** (r + 1) * s ** (a + 1) for r in range(b.n) for a in range(b.p.degree)]
+        return [1] * b.size
+    if lam == -1:  # s = -1 in both conventions
+        return [(1, -1)[(r + a) % 2] for r in range(b.n) for a in range(d)]
+    # a power of a canonical scalar is canonical; only the products of
+    # the two powers can be integral Fractions
+    s = lam if conv.epsilon == 1 else (1 if lam > 0 else -1)
+    ext = [s]  # s^(a+1)
+    for _ in range(1, d):
+        ext.append(ext[-1] * s)
+    inv = _div(1, lam)
+    out: list = []
+    step = 1  # (1/lam)^(r+1)
+    for _ in range(b.n):
+        step *= inv
+        out += [_frac(step * x) for x in ext]
+    return out
 
 
 def _lambda_intertwiners(
@@ -197,7 +210,7 @@ def _lambda_intertwiners(
                             for a, pairs in enumerate(e):
                                 v = diag[r * d + a]
                                 rows[row0 + a] = tuple([
-                                    (col0 + b, x if v is _ONE else v * x) for b, x in pairs
+                                    (col0 + b, x if v == 1 else _frac(v * x)) for b, x in pairs
                                 ])
                         out.append(_sparse(dim, dim, tuple(rows)))
     return out

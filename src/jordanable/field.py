@@ -1,8 +1,15 @@
 """Exact field arithmetic and exact linear algebra.
 
-The ground field is Q, realized by :class:`fractions.Fraction`.  All
-types are immutable values and all functions are pure; there is no
-floating point anywhere in this package.
+The ground field is Q.  A scalar is held in one canonical exact form: an
+``int`` when it is integral, and otherwise a :class:`fractions.Fraction`
+with denominator > 1.  `_frac` puts any input in that form (a float or a
+complex is a TypeError), `_div` is the package's one true division, and
+the builders below keep their results in it.  The structure data of the
+paper are almost all small integers, so their products and comparisons
+run on Python ints; an integral Fraction that an elimination keeps still
+compares and hashes like its int.  All types are immutable values and
+all functions are pure; there is no floating point anywhere in this
+package.
 
 The operators of this package are sparse in a Jordan basis (J(aleph) has
 O(n) nonzeros, and each structure basis element is a unit map or a
@@ -29,10 +36,28 @@ from operator import itemgetter
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 
-def _frac(x) -> Fraction:
-    if isinstance(x, Fraction):
+def _frac(x):
+    """x as a canonical exact scalar: an int when x is integral, else a
+    Fraction with denominator > 1.  A float or a complex is a TypeError:
+    its binary value is not the number it was written as."""
+    if type(x) is int:
         return x
-    return Fraction(x)
+    if not isinstance(x, Fraction):
+        if isinstance(x, (float, complex)):
+            raise TypeError(f"{x!r} is a {type(x).__name__}, not an exact scalar; "
+                            "use an int, a Fraction or a string such as '1/10'")
+        x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
+def _div(a, b):
+    """a / b of two canonical scalars, canonical: the one true division of
+    this package.  Two ints divide by divmod, giving the int quotient
+    when the remainder is zero and never a float."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    return _frac(a / b)
 
 
 class Polynomial:
@@ -82,13 +107,13 @@ class Polynomial:
         return bool(self.coeffs) and self.coeffs[-1] == 1
 
     @property
-    def leading(self) -> Fraction:
+    def leading(self):
         if not self.coeffs:
             raise ValueError("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
 
-    def coeff(self, k: int) -> Fraction:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else Fraction(0)
+    def coeff(self, k: int):
+        return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
 
     # -- arithmetic ---------------------------------------------------
 
@@ -107,7 +132,7 @@ class Polynomial:
         if isinstance(other, Polynomial):
             if self.is_zero or other.is_zero:
                 return Polynomial.zero()
-            out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+            out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
             for i, a in enumerate(self.coeffs):
                 if a == 0:
                     continue
@@ -138,7 +163,7 @@ class Polynomial:
     def monic(self) -> "Polynomial":
         if self.is_zero:
             raise ValueError("cannot normalize the zero polynomial")
-        return self.scale(1 / self.leading)
+        return self.scale(_div(1, self.leading))
 
     def derivative(self) -> "Polynomial":
         return Polynomial(k * c for k, c in enumerate(self.coeffs) if k > 0)
@@ -151,10 +176,10 @@ class Polynomial:
             for c in reversed(self.coeffs):
                 acc = acc * x + ident.scale(c)
             return acc
-        acc = Fraction(0)
+        acc = 0
         for c in reversed(self.coeffs):
             acc = acc * x + c
-        return acc
+        return _frac(acc)
 
     # -- comparison, hashing, display ---------------------------------
 
@@ -202,9 +227,9 @@ def poly_divmod(a: Polynomial, b: Polynomial) -> tuple[Polynomial, Polynomial]:
         raise ZeroDivisionError("polynomial division by zero")
     r = list(a.coeffs)
     db, lead = b.degree, b.leading
-    q = [Fraction(0)] * max(len(a.coeffs) - db, 0)
+    q = [0] * max(len(a.coeffs) - db, 0)
     while len(r) - 1 >= db and r:
-        c = r[-1] / lead
+        c = _div(r[-1], lead)
         k = len(r) - 1 - db
         q[k] = c
         for i, bc in enumerate(b.coeffs):
@@ -233,15 +258,17 @@ def poly_xgcd(a: Polynomial, b: Polynomial):
         t0, t1 = t1, t0 - q * t1
     if r0.is_zero:
         return r0, s0, t0
-    c = 1 / r0.leading
+    c = _div(1, r0.leading)
     return r0.scale(c), s0.scale(c), t0.scale(c)
 
 
 class Matrix:
     """Immutable exact matrix, stored by its nonzero entries.
 
-    The canonical form is ``nonzero_rows``: per row, the (column, entry)
-    pairs of its nonzero entries in strictly increasing column order.
+    Entries are canonical scalars (`_frac`): ints, and Fractions with
+    denominator > 1.  The canonical form is ``nonzero_rows``: per row,
+    the (column, entry) pairs of its nonzero entries in strictly
+    increasing column order.
     ``==`` and ``hash`` read it, and ``+``, ``-``, ``scale``, products,
     ``transpose``, ``kron``, ``embed`` and the structured constructors
     build their results in it, row by row over the nonzeros of their
@@ -276,7 +303,7 @@ class Matrix:
 
     @staticmethod
     def identity(n: int) -> "Matrix":
-        return _sparse(n, n, tuple([((i, _ONE),) for i in range(n)]))
+        return _sparse(n, n, tuple([((i, 1),) for i in range(n)]))
 
     @staticmethod
     def zeros(r: int, c: int) -> "Matrix":
@@ -313,7 +340,7 @@ class Matrix:
         es = self._entries
         if es is None:
             c = self.cols
-            out = [_ZERO] * (self.rows * c)
+            out = [0] * (self.rows * c)
             for i, row in enumerate(self._nonzero_rows):
                 at = i * c
                 for j, x in row:
@@ -322,7 +349,7 @@ class Matrix:
         return es
 
     @property
-    def nonzero_rows(self) -> tuple[tuple[tuple[int, Fraction], ...], ...]:
+    def nonzero_rows(self) -> tuple[tuple[tuple[int, int | Fraction], ...], ...]:
         """Per row, its nonzero (column, entry) pairs in column order: the
         canonical form, derived from ``entries`` on first use when the
         matrix was built from dense data."""
@@ -335,7 +362,7 @@ class Matrix:
             )
         return view
 
-    def __getitem__(self, ij) -> Fraction:
+    def __getitem__(self, ij) -> int | Fraction:
         i, j = ij
         return self.entries[i * self.cols + j]
 
@@ -343,21 +370,21 @@ class Matrix:
         c = self.cols
         if self._entries is not None:
             return self._entries[i * c : (i + 1) * c]
-        out = [_ZERO] * c
+        out = [0] * c
         for j, x in self._nonzero_rows[i]:
             out[j] = x
         return tuple(out)
 
     def column(self, j: int) -> tuple:
-        return tuple([next((x for k, x in row if k == j), _ZERO) for row in self.nonzero_rows])
+        return tuple([next((x for k, x in row if k == j), 0) for row in self.nonzero_rows])
 
-    def to_rows(self) -> list[list[Fraction]]:
+    def to_rows(self) -> list[list[int | Fraction]]:
         return [list(self.row(i)) for i in range(self.rows)]
 
     def vec(self) -> tuple:
         """Column-stacked vectorization."""
         r = self.rows
-        out = [_ZERO] * (r * self.cols)
+        out = [0] * (r * self.cols)
         for i, row in enumerate(self.nonzero_rows):
             for j, x in row:
                 out[j * r + i] = x
@@ -389,7 +416,7 @@ class Matrix:
         if c == 1:
             return self
         return _sparse(self.rows, self.cols, tuple(
-            [tuple([(j, c * x) for j, x in row]) for row in self.nonzero_rows]))
+            [tuple([(j, _frac(c * x)) for j, x in row]) for row in self.nonzero_rows]))
 
     def __mul__(self, other):
         if not isinstance(other, Matrix):
@@ -419,15 +446,15 @@ class Matrix:
     def apply(self, v: Sequence) -> tuple:
         if len(v) != self.cols:
             raise ValueError("vector length mismatch")
-        v = [_frac(x) if x else _ZERO for x in v]
+        v = [_frac(x) for x in v]
         out = []
         for row in self.nonzero_rows:
-            acc = _ZERO
+            acc = 0
             for j, a in row:
                 x = v[j]
                 if x:
-                    acc = a * x if acc is _ZERO else acc + a * x
-            out.append(acc)
+                    acc += a * x
+            out.append(acc if type(acc) is int else _frac(acc))
         return tuple(out)
 
     def transpose(self) -> "Matrix":
@@ -441,7 +468,7 @@ class Matrix:
         """Block matrix with self's entries multiplying copies of other."""
         oc = other.cols
         return _sparse(self.rows * other.rows, self.cols * oc, tuple([
-            tuple([(j * oc + l, a * x) for j, a in row for l, x in orow])
+            tuple([(j * oc + l, _frac(a * x)) for j, a in row for l, x in orow])
             for row in self.nonzero_rows for orow in other.nonzero_rows
         ]))
 
@@ -474,10 +501,6 @@ class Matrix:
         return f"Matrix[{self.rows}x{self.cols}: {body}]"
 
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
-
 def _row_product(row: tuple, rows: tuple, acc: list) -> tuple:
     """The canonical row sum of a * rows[k] over the (k, a) of a canonical
     row: one multiplication per pair of nonzeros that meet.  acc is a
@@ -486,7 +509,7 @@ def _row_product(row: tuple, rows: tuple, acc: list) -> tuple:
         if not row:
             return row
         k, a = row[0]
-        return rows[k] if a is _ONE else tuple([(j, a * x) for j, x in rows[k]])
+        return rows[k] if a == 1 else tuple([(j, _frac(a * x)) for j, x in rows[k]])
     hit = []
     for k, a in row:
         for j, x in rows[k]:
@@ -502,12 +525,12 @@ def _row_product(row: tuple, rows: tuple, acc: list) -> tuple:
         y = acc[j]
         acc[j] = None
         if y:
-            out.append((j, y))
+            out.append((j, y if type(y) is int else _frac(y)))
     return tuple(out)
 
 
 def _products_equal(a: tuple, b: tuple, c: tuple, d: Optional[tuple],
-                    cols: int, lam=_ONE) -> bool:
+                    cols: int, lam=1) -> bool:
     """A B == lam (C D), decided row by row on the canonical nonzero rows of
     the four factors (``Matrix.nonzero_rows``; d None is the identity; a
     and c have one row count), cols the width of the products.  Row i of
@@ -542,7 +565,7 @@ def _add_rows(p: tuple, q: tuple) -> tuple:
         else:
             y += x
             if y:
-                acc[j] = y
+                acc[j] = y if type(y) is int else _frac(y)
             else:
                 del acc[j]
     # the columns are distinct, so the sort never compares two entries
@@ -550,8 +573,9 @@ def _add_rows(p: tuple, q: tuple) -> tuple:
 
 
 def _matrix(rows: int, cols: int, entries) -> Matrix:
-    """A Matrix over dense row-major entries that are already Fractions,
-    without coercing them; its nonzero view is derived on first use."""
+    """A Matrix over dense row-major entries that are already canonical
+    scalars, without coercing them; its nonzero view is derived on first
+    use."""
     m = object.__new__(Matrix)
     m.rows = rows
     m.cols = cols
@@ -562,8 +586,9 @@ def _matrix(rows: int, cols: int, entries) -> Matrix:
 
 def _sparse(rows: int, cols: int, nonzero_rows: tuple) -> Matrix:
     """A Matrix given in its canonical form: per row, a tuple of nonzero
-    (column, entry) pairs, Fraction entries, strictly increasing columns.
-    The builders of this package write their results through it."""
+    (column, entry) pairs, canonical scalar entries (`_frac`), strictly
+    increasing columns.  The builders of this package write their results
+    through it."""
     m = object.__new__(Matrix)
     m.rows = rows
     m.cols = cols
@@ -588,9 +613,16 @@ class RowReduction(NamedTuple):
         return len(self.pivots)
 
 
+def _canonical(xs) -> list:
+    """The canonical scalars of xs, ints and Fractions of any denominator."""
+    return [x if type(x) is int else _frac(x) for x in xs]
+
+
 def row_reduce(m: Matrix) -> RowReduction:
     """One Gauss-Jordan elimination of m, returned as the RowReduction
-    (pivots, rref, kernel, transform); rank + len(kernel) == m.cols."""
+    (pivots, rref, kernel, transform); rank + len(kernel) == m.cols.
+    The rows may hold integral Fractions while they are reduced; the
+    returned matrices and vectors hold canonical scalars."""
     a = m.to_rows()
     t = Matrix.identity(m.rows).to_rows()
     rank = 0
@@ -601,9 +633,10 @@ def row_reduce(m: Matrix) -> RowReduction:
             continue
         a[rank], a[piv] = a[piv], a[rank]
         t[rank], t[piv] = t[piv], t[rank]
-        inv = 1 / a[rank][col]
-        a[rank] = [x * inv for x in a[rank]]
-        t[rank] = [x * inv for x in t[rank]]
+        inv = _div(1, a[rank][col])
+        if inv != 1:
+            a[rank] = [x * inv for x in a[rank]]
+            t[rank] = [x * inv for x in t[rank]]
         for i in range(m.rows):
             if i != rank and a[i][col] != 0:
                 f = a[i][col]
@@ -615,13 +648,14 @@ def row_reduce(m: Matrix) -> RowReduction:
             break
     kernel = []
     for free in sorted(set(range(m.cols)) - set(pivots)):
-        v = [_ZERO] * m.cols
-        v[free] = _ONE
+        v = [0] * m.cols
+        v[free] = 1
         for r, pc in enumerate(pivots):
             v[pc] = -a[r][free]
-        kernel.append(tuple(v))
-    return RowReduction(tuple(pivots), _matrix(m.rows, m.cols, [x for r in a for x in r]),
-                        kernel, _matrix(m.rows, m.rows, [x for r in t for x in r]))
+        kernel.append(tuple(_canonical(v)))
+    return RowReduction(tuple(pivots),
+                        _matrix(m.rows, m.cols, _canonical(x for r in a for x in r)),
+                        kernel, _matrix(m.rows, m.rows, _canonical(x for r in t for x in r)))
 
 
 def matrix_rank(m: Matrix) -> int:
@@ -641,7 +675,7 @@ def solve_linear(m: Matrix, b: Sequence) -> Optional[tuple[tuple, list[tuple]]]:
     pivots, rref, aug_kernel, _ = row_reduce(aug)
     if pivots and pivots[-1] == m.cols:
         return None  # pivot in the augmented column: inconsistent
-    particular = [_ZERO] * m.cols
+    particular = [0] * m.cols
     for i, pc in enumerate(pivots):
         particular[pc] = rref[i, m.cols]
     # the augmented column is free and last, so the other kernel vectors of

@@ -17,7 +17,6 @@ from typing import Optional, Sequence
 
 from .errors import VerificationFailed, ZeroMultiplicityFunction, verify
 from .field import (
-    _ONE,
     Matrix,
     Polynomial,
     _products_equal,
@@ -140,7 +139,7 @@ def canonical_form(a: MultiplicityFunction, conv: Convention = EPS1) -> JordanFo
                 for k, pairs in enumerate(xp):
                     row = [(row0 + c, x) for c, x in pairs]
                     if m + 1 < b.n:
-                        row.append((row0 + d + k, _ONE))
+                        row.append((row0 + d + k, 1))
                     rows[row0 + k] = tuple(row)
     index = tuple(
         BlockIndex(b.p, b.n, b.alpha, m, k)

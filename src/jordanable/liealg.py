@@ -17,9 +17,9 @@ from .errors import (
     verify,
 )
 from .field import (
-    _ZERO,
     Matrix,
     _add_rows,
+    _div,
     _frac,
     _matrix,
     _products_equal,
@@ -212,7 +212,7 @@ def classify_iso(
     if lam is None:
         return None
     perm = _block_permutation(lam, j1.aleph)
-    m = s2_inv * perm * v_aleph(1 / lam, j1.aleph, conv) * s1
+    m = s2_inv * perm * v_aleph(_div(1, lam), j1.aleph, conv) * s1
     verify(_products_equal(t2.nonzero_rows, m.nonzero_rows, m.nonzero_rows,
                            t1.nonzero_rows, m.cols, lam),
            "classification witness check failed", check="classify-witness")
@@ -327,7 +327,7 @@ def _column_split(l: AlmostAbelianAlgebra, m: Matrix) -> tuple[list, tuple]:
             heads.append(row[0][1])
             tails.append(row[1:])
         else:
-            heads.append(_ZERO)
+            heads.append(0)
             tails.append(row)
     return heads, tuple(tails)
 
@@ -464,9 +464,9 @@ def _skew_part(z: Matrix) -> dict:
     for k, row in enumerate(z.nonzero_rows):
         for l, x in row:
             if k < l:
-                out[k, l] = out.get((k, l), _ZERO) + x
+                out[k, l] = out.get((k, l), 0) + x
             elif l < k:
-                out[l, k] = out.get((l, k), _ZERO) - x
+                out[l, k] = out.get((l, k), 0) - x
     return {kl: x for kl, x in out.items() if x}
 
 
@@ -485,7 +485,7 @@ def casimir_basis(l: AlmostAbelianAlgebra) -> list[CasimirElement]:
     skews = [_skew_part(z) for z in zs]
     live = sorted({kl for skew in skews for kl in skew})
     kernel = row_reduce(_matrix(len(live), len(zs), [
-        skew.get(kl, _ZERO) for kl in live for skew in skews
+        skew.get(kl, 0) for kl in live for skew in skews
     ])).kernel
     n = l.form.dim
     j = l.form.matrix.nonzero_rows

@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import Iterable, Optional
 
 from .errors import ZeroMultiplicityFunction
-from .field import _frac
+from .field import _div, _frac
 from .spectrum import IrreduciblePoly, star_irreducible, star_poly, x_irreducible
 
 
@@ -166,7 +166,7 @@ def _candidate_dilations(
     for q in s2:
         if q.degree != p.degree:
             continue
-        ratio = q.poly.coeff(0) / p.poly.coeff(0)
+        ratio = _div(q.poly.coeff(0), p.poly.coeff(0))
         for lam in rational_nth_roots(ratio, p.degree):
             if lam != 0 and lam not in cands:
                 cands.append(lam)

@@ -28,7 +28,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import ConventionError, UnfactoredRemainder, VerificationFailed, verify
-from .field import Matrix, Polynomial, poly_divmod, poly_gcd, solve_linear, _frac
+from .field import Matrix, Polynomial, poly_divmod, poly_gcd, solve_linear, _div, _frac
 
 
 class Certification(Enum):
@@ -119,7 +119,7 @@ def _squarefree_roots(f: Polynomial) -> list[Fraction]:
         if y > m // 2:
             y -= m
         if _eval(big_f, y) == 0:
-            roots.append(Fraction(y, lead))
+            roots.append(_div(y, lead))
     return sorted(roots)
 
 
@@ -202,7 +202,7 @@ def _rational_sqrt(x: Fraction) -> Fraction | None:
     np = math.isqrt(x.numerator)
     dp = math.isqrt(x.denominator)
     if np * np == x.numerator and dp * dp == x.denominator:
-        return Fraction(np, dp)
+        return _div(np, dp)
     return None
 
 
@@ -210,7 +210,7 @@ def rotation_parameters(p: Polynomial) -> tuple[Fraction, Fraction]:
     """Write a monic quadratic as (X-a)^2 + b^2 with rational a, b >= 0."""
     if p.degree != 2 or not p.is_monic:
         raise ConventionError(f"epsilon=0 needs a monic quadratic, got {p}")
-    a = -p.coeff(1) / 2
+    a = _div(-p.coeff(1), 2)
     b2 = p.coeff(0) - a * a
     b = _rational_sqrt(b2)
     if b is None:
@@ -230,9 +230,9 @@ def companion(p: IrreduciblePoly, conv: Convention = EPS1) -> Matrix:
             raise ConventionError("epsilon=0 companion form exists only for degree 2")
         a, b = rotation_parameters(p.poly)
         return Matrix.from_rows([[a, -b], [b, a]])
-    rows = [[Fraction(0)] * d for _ in range(d)]
+    rows = [[0] * d for _ in range(d)]
     for i in range(1, d):
-        rows[i][i - 1] = Fraction(1)
+        rows[i][i - 1] = 1
     for i in range(d):
         rows[i][d - 1] = -p.poly.coeff(i)
     return Matrix.from_rows(rows)
@@ -252,7 +252,7 @@ def ext_basis_matrices(
     one = Matrix.identity(xp.rows)
     if conv.epsilon == 0 and p.degree == 2:
         a, b = rotation_parameters(p.poly)
-        return [one, (xp - one.scale(a)).scale(1 / b)]
+        return [one, (xp - one.scale(a)).scale(_div(1, b))]
     powers = [one]
     for _ in range(1, p.degree):
         powers.append(powers[-1] * xp)
@@ -263,12 +263,12 @@ def _w_hankel(p: IrreduciblePoly, conv: Convention) -> Matrix:
     """The Hankel matrix of `equations.w_matrix`, for a convention that is
     available for p; here so that the factor forms below can hold it."""
     d = p.degree
-    mu = [Fraction(1)]
+    mu = [1]
     for n in range(1, d):
         mu.append(-sum(p.poly.coeff(d - n + k) * mu[k] for k in range(n)))
     if d > 1:
         mu[1] *= conv.epsilon
-    h = [Fraction(0)] * (d - 1) + mu
+    h = [0] * (d - 1) + mu
     return Matrix(d, d, [h[i + j] for i in range(d) for j in range(d)])
 
 
@@ -338,7 +338,7 @@ def minimal_polynomial(t: Matrix) -> Polynomial:
                 "no Krylov dependence below dimension bound",
                 check="krylov-dependence", dim=n,
             )
-    coeffs = [-c for c in sol[0]] + [Fraction(1)]
+    coeffs = [-c for c in sol[0]] + [1]
     return Polynomial(coeffs)
 
 

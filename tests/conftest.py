@@ -37,6 +37,12 @@ def mat(rows) -> Matrix:
     return Matrix.from_rows([[Fraction(x) for x in r] for r in rows])
 
 
+def canonical_scalar(x) -> bool:
+    """The library's one form of an exact scalar: an int when integral,
+    else a Fraction with denominator > 1; never a float."""
+    return type(x) is int or (isinstance(x, Fraction) and x.denominator != 1)
+
+
 def pytest_terminal_summary(terminalreporter):
     """Surface the acceptance criterion pass/fail lines in the summary."""
     try:
